@@ -1,7 +1,6 @@
 //! Executor substrate microbenches: per-call overhead of the persistent
-//! `partree-exec` pool vs spawning scoped OS threads per operation, plus
-//! raw `join` fan-out throughput. Complements E14, which measures the
-//! same split at pipeline level.
+//! `partree-exec` pool, plus raw `join` fork/sync latency. Complements
+//! E14, which measures the pool at pipeline level.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rayon::prelude::*;
@@ -16,29 +15,17 @@ fn bench_exec(c: &mut Criterion) {
         let xs: Vec<f64> = (1..=n).map(|i| 1.0 / i as f64).collect();
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("par_sum_pool", n), &n, |b, _| {
-            rayon::force_legacy_driver(false);
             b.iter(|| {
                 partree_pram::model::with_threads(width, || {
                     xs.par_iter().map(|&x| x * 1.000_000_1).sum::<f64>()
                 })
             })
         });
-        g.bench_with_input(BenchmarkId::new("par_sum_spawn_per_call", n), &n, |b, _| {
-            rayon::force_legacy_driver(true);
-            b.iter(|| {
-                partree_pram::model::with_threads(width, || {
-                    xs.par_iter().map(|&x| x * 1.000_000_1).sum::<f64>()
-                })
-            });
-            rayon::force_legacy_driver(false);
-        });
     }
 
-    // Tiny-join latency: fork/sync cost with near-zero useful work, the
-    // regime where spawn-per-call overhead dominates completely.
+    // Tiny-join latency: fork/sync cost with near-zero useful work.
     g.throughput(Throughput::Elements(1));
     g.bench_with_input(BenchmarkId::new("tiny_join_pool", 2), &2, |b, _| {
-        rayon::force_legacy_driver(false);
         b.iter(|| {
             partree_pram::model::with_threads(width, || {
                 rayon::join(
@@ -48,22 +35,6 @@ fn bench_exec(c: &mut Criterion) {
             })
         })
     });
-    g.bench_with_input(
-        BenchmarkId::new("tiny_join_spawn_per_call", 2),
-        &2,
-        |b, _| {
-            rayon::force_legacy_driver(true);
-            b.iter(|| {
-                partree_pram::model::with_threads(width, || {
-                    rayon::join(
-                        || std::hint::black_box(1u64) + 1,
-                        || std::hint::black_box(2u64) + 2,
-                    )
-                })
-            });
-            rayon::force_legacy_driver(false);
-        },
-    );
     g.finish();
 }
 

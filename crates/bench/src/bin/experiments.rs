@@ -738,100 +738,104 @@ fn transport_label(t: partree_service::net::Transport) -> &'static str {
     }
 }
 
-/// E14 — runtime substrate A/B: spawn-per-call scoped threads (the
-/// pre-executor shim driver) vs the persistent `partree-exec` pool
-/// (schema in EXPERIMENTS.md § E14).
+/// E14 — runtime substrate: the persistent `partree-exec` pool (schema
+/// in EXPERIMENTS.md § E14; the spawn-per-call rows it was measured
+/// against are kept there as history).
 ///
 /// Two workloads: a `par_iter` map+sum sweep (the primitive huffman's
-/// inner loops are built from) at n ≥ 64k, where per-op wall-clock and
-/// thread-spawn counts are cleanly attributable, and the full
-/// `huffman_parallel` pipeline at DP-feasible sizes. The sweep also
-/// cross-checks the determinism contract: both substrates must produce
-/// bit-identical `f64` sums.
+/// inner loops are built from) at n ≥ 64k, where per-op wall-clock is
+/// cleanly attributable, and the full `huffman_parallel` pipeline at
+/// DP-feasible sizes. The sweep also checks the determinism contract
+/// (the pool's `f64` sum is bit-identical to the width-1 sum), and the
+/// run exits non-zero unless the pool spawns zero OS threads across all
+/// measured reps — the steady-state claim the exec-stress CI step runs
+/// this experiment for.
 fn e14() {
     use rayon::prelude::*;
 
-    println!("\n## E14  Runtime substrate — spawn-per-call vs persistent pool");
-    println!("one JSON line per (workload, mode, n); thread_spawns counts OS threads");
+    println!("\n## E14  Runtime substrate — persistent pool, zero steady-state spawns");
+    println!("one JSON line per (workload, n); thread_spawns counts OS threads");
     println!("created during the measured reps (pool workers spawn once, before)\n");
 
     let width = partree_pram::model::processors().clamp(2, 8);
-    let mut sum_bits: Option<(usize, u64)> = None;
+    // Workers count themselves as they start: wait for the whole pool so
+    // any later change is a steady-state spawn.
+    // lint: allow(metric-unemitted): the pool's configured size, not a counter
+    let size = partree_exec::global().workers() as u64;
+    let t0 = Instant::now();
+    while pool_counters()[0] < size && t0.elapsed().as_secs() < 10 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut total_spawns = 0;
 
     // Workload 1: map+sum sweep, one par_iter op per rep.
     for &n in &[65_536usize, 1_048_576] {
         let xs: Vec<f64> = (1..=n).map(|i| 1.0 / i as f64).collect();
         let reps = if n > 100_000 { 8 } else { 40 };
-        for legacy in [true, false] {
-            rayon::force_legacy_driver(legacy);
-            let op =
-                || -> f64 { with_threads(width, || xs.par_iter().map(|&x| x * 1.000_000_1).sum()) };
-            let warm = op();
-            if let Some((bn, bits)) = sum_bits {
-                assert!(
-                    bn != n || bits == warm.to_bits(),
-                    "substrates disagree on a deterministic f64 sum"
-                );
-            }
-            sum_bits = Some((n, warm.to_bits()));
-            let spawns0 = partree_exec::scoped_spawns();
-            let exec0 = partree_exec::global_snapshot();
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(op());
-            }
-            let elapsed_ms = ms(t0);
-            let spawns = partree_exec::scoped_spawns() - spawns0;
-            let exec = partree_exec::global_snapshot();
-            println!(
-                "{{\"experiment\":\"e14\",\"workload\":\"sweep\",\"mode\":\"{}\",\
-                 \"n\":{n},\"width\":{width},\"reps\":{reps},\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{:.3},\
-                 \"thread_spawns\":{spawns},\"spawns_per_op\":{:.1},\
-                 \"pool_blocks\":{},\"pool_steals\":{},\"pool_workers\":{}}}",
-                mode_label(legacy),
-                elapsed_ms / reps as f64,
-                spawns as f64 / reps as f64,
-                exec.blocks_executed - exec0.blocks_executed,
-                exec.steals - exec0.steals,
-                exec.workers,
-            );
+        let op =
+            |w: usize| -> f64 { with_threads(w, || xs.par_iter().map(|&x| x * 1.000_000_1).sum()) };
+        assert_eq!(
+            op(width).to_bits(),
+            op(1).to_bits(),
+            "pool and width-1 disagree on a deterministic f64 sum"
+        );
+        let [spawned0, blocks0, steals0] = pool_counters();
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(op(width));
         }
+        let elapsed_ms = ms(t0);
+        let [spawned, blocks, steals] = pool_counters();
+        let spawns = spawned - spawned0;
+        total_spawns += spawns;
+        println!(
+            "{{\"experiment\":\"e14\",\"workload\":\"sweep\",\"mode\":\"pool\",\
+             \"n\":{n},\"width\":{width},\"reps\":{reps},\
+             \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{:.3},\
+             \"thread_spawns\":{spawns},\"spawns_per_op\":{:.1},\
+             \"pool_blocks\":{},\"pool_steals\":{},\"pool_workers\":{spawned}}}",
+            elapsed_ms / reps as f64,
+            spawns as f64 / reps as f64,
+            blocks - blocks0,
+            steals - steals0,
+        );
     }
 
     // Workload 2: the full parallel Huffman pipeline (quadratic DP, so
     // sized accordingly; its inner loops are the sweep above).
     for &n in &[512usize, 1024] {
         let w = gen::zipf_weights(n, 1.07, 42);
-        for legacy in [true, false] {
-            rayon::force_legacy_driver(legacy);
-            let spawns0 = partree_exec::scoped_spawns();
-            let t0 = Instant::now();
-            let cost = with_threads(width, || {
-                huffman_parallel_cost_traced(&w, &CostTracer::disabled()).expect("valid weights")
-            });
-            let elapsed_ms = ms(t0);
-            let spawns = partree_exec::scoped_spawns() - spawns0;
-            println!(
-                "{{\"experiment\":\"e14\",\"workload\":\"huffman\",\"mode\":\"{}\",\
-                 \"n\":{n},\"width\":{width},\"reps\":1,\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{elapsed_ms:.2},\
-                 \"thread_spawns\":{spawns},\"spawns_per_op\":{spawns},\
-                 \"cost\":{:.3}}}",
-                mode_label(legacy),
-                cost.value(),
-            );
-        }
+        let [spawned0, ..] = pool_counters();
+        let t0 = Instant::now();
+        let cost = with_threads(width, || {
+            huffman_parallel_cost_traced(&w, &CostTracer::disabled()).expect("valid weights")
+        });
+        let elapsed_ms = ms(t0);
+        let spawns = pool_counters()[0] - spawned0;
+        total_spawns += spawns;
+        println!(
+            "{{\"experiment\":\"e14\",\"workload\":\"huffman\",\"mode\":\"pool\",\
+             \"n\":{n},\"width\":{width},\"reps\":1,\
+             \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{elapsed_ms:.2},\
+             \"thread_spawns\":{spawns},\"spawns_per_op\":{spawns},\
+             \"cost\":{:.3}}}",
+            cost.value(),
+        );
     }
-    rayon::force_legacy_driver(false);
+    if total_spawns > 0 {
+        eprintln!(
+            "E14: the pool spawned {total_spawns} OS threads during measured reps; expected 0"
+        );
+        std::process::exit(1);
+    }
 }
 
-fn mode_label(legacy: bool) -> &'static str {
-    if legacy {
-        "spawn_per_call"
-    } else {
-        "pool"
-    }
+/// The shared pool's counters E14 reports: `[worker threads spawned,
+/// jobs executed, steals]`.
+fn pool_counters() -> [u64; 3] {
+    let s = partree_exec::global_snapshot();
+    // lint: allow(metric-unemitted): E14 reads the in-process pool; Stats reports it as exec_*
+    [s.workers, s.blocks_executed, s.steals]
 }
 
 /// E15 — replica gateway: scaling and failover economics (schema in

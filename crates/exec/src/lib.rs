@@ -46,16 +46,15 @@ pub mod metrics;
 pub mod model;
 mod sync;
 
-pub use metrics::{count_scoped_spawn, scoped_spawns, ExecSnapshot};
+pub use metrics::ExecSnapshot;
 
 use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use deque::{Deque, Steal};
 use latch::CountLatch;
-use metrics::Metrics;
+use metrics::{bump, Metrics};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -227,7 +226,7 @@ impl Pool {
         RA: Send,
         RB: Send,
     {
-        Metrics::bump(&self.inner.metrics.joins);
+        bump(&self.inner.metrics.joins);
         let latch = CountLatch::new(1);
         let slot: Arc<Mutex<Option<RB>>> = Arc::new(Mutex::new(None));
         let me = self.current_worker();
@@ -272,20 +271,10 @@ impl Pool {
 
     /// Freezes this pool's counters and gauges.
     pub fn metrics_snapshot(&self) -> ExecSnapshot {
-        let m = &self.inner.metrics;
-        // ordering: Relaxed — monotonic counters; the snapshot is a
-        // statistical freeze, not a synchronization point.
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ExecSnapshot {
-            steals: get(&m.steals),
-            parks: get(&m.parks),
-            injected: get(&m.injected),
-            blocks_executed: get(&m.blocks_executed),
-            joins: get(&m.joins),
-            workers: get(&m.workers_spawned),
             // ordering: Relaxed — gauge read for display only.
             injector_depth: self.inner.injector_len.load(Ordering::Relaxed) as u64,
-            scoped_spawns: metrics::scoped_spawns(),
+            ..self.inner.metrics.load()
         }
     }
 
@@ -316,7 +305,7 @@ fn inject_job(inner: &Inner, job: *mut Job) {
     q.push_back(JobPtr(job));
     inner.injector_len.store(q.len(), Ordering::Release);
     drop(q);
-    Metrics::bump(&inner.metrics.injected);
+    bump(&inner.metrics.injected);
 }
 
 /// The signal half of shutdown: raise the flag, then bump the epoch and
@@ -348,7 +337,7 @@ impl std::fmt::Debug for Pool {
 
 fn worker_main(inner: Arc<Inner>, me: usize) {
     WORKER.with(|w| w.set((inner.id, me)));
-    Metrics::bump(&inner.metrics.workers_spawned);
+    bump(&inner.metrics.workers);
     loop {
         if let Some(job) = find_work(&inner, me) {
             execute(&inner, job);
@@ -382,7 +371,7 @@ fn find_work(inner: &Inner, me: usize) -> Option<*mut Job> {
         loop {
             match inner.deques[victim].steal() {
                 Steal::Success(job) => {
-                    Metrics::bump(&inner.metrics.steals);
+                    bump(&inner.metrics.steals);
                     return Some(job);
                 }
                 // CAS failure means another thread made progress; the
@@ -396,7 +385,7 @@ fn find_work(inner: &Inner, me: usize) -> Option<*mut Job> {
 }
 
 fn execute(inner: &Inner, job: *mut Job) {
-    Metrics::bump(&inner.metrics.blocks_executed);
+    bump(&inner.metrics.blocks_executed);
     // Every queued job is wrapped in catch_unwind by its submission path,
     // so this call does not unwind through the worker loop.
     // SAFETY: `job` came from Box::into_raw at submission and the deque/
@@ -473,7 +462,7 @@ fn park(inner: &Inner, _me: usize) {
     }
     let mut g = inner.sleep_epoch.lock().expect("sleep lock poisoned");
     if *g == epoch && !inner.shutdown.load(Ordering::Acquire) {
-        Metrics::bump(&inner.metrics.parks);
+        bump(&inner.metrics.parks);
         while *g == epoch && !inner.shutdown.load(Ordering::Acquire) {
             g = inner.wake_cv.wait(g).expect("sleep lock poisoned");
         }
@@ -541,16 +530,11 @@ pub fn global() -> &'static Pool {
 }
 
 /// Metrics of the global pool without forcing it into existence: all
-/// zeros (apart from the process-wide scoped-spawn tally) when no
-/// parallel work has run yet.
+/// zeros when no parallel work has run yet.
 pub fn global_snapshot() -> ExecSnapshot {
-    match GLOBAL.get() {
-        Some(pool) => pool.metrics_snapshot(),
-        None => ExecSnapshot {
-            scoped_spawns: metrics::scoped_spawns(),
-            ..ExecSnapshot::default()
-        },
-    }
+    GLOBAL
+        .get()
+        .map_or_else(ExecSnapshot::default, Pool::metrics_snapshot)
 }
 
 #[cfg(test)]

@@ -27,9 +27,10 @@ use crate::sync::{AtomicU64, Mutex, Ordering};
 use std::time::{Duration, Instant};
 
 /// Where the breaker currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: requests flow.
+    #[default]
     Closed,
     /// Tripped: requests are routed elsewhere until the cooldown ends.
     Open,

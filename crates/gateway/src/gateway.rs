@@ -501,7 +501,6 @@ impl Gateway {
 
     /// Current counters, breaker states, and latency histograms.
     pub fn snapshot(&self) -> crate::metrics::GatewaySnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let rows = self
             .inner
             .replicas
@@ -509,23 +508,11 @@ impl Gateway {
             .map(|r| ReplicaSnapshot {
                 id: r.id,
                 addr: r.addr.to_string(),
-                attempts: get(&r.metrics.attempts),
-                successes: get(&r.metrics.successes),
-                transport_errors: get(&r.metrics.transport_errors),
-                busy: get(&r.metrics.busy),
-                pings_ok: get(&r.metrics.pings_ok),
-                pings_failed: get(&r.metrics.pings_failed),
-                latency: r
-                    .metrics
-                    .latency
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-                latency_us_total: get(&r.metrics.latency_us_total),
-                latency_us_max: get(&r.metrics.latency_us_max),
+                latency: r.metrics.latency.buckets(),
                 breaker: r.breaker.state(),
                 breaker_opened: r.breaker.opened_total(),
                 draining: r.draining.load(Ordering::Relaxed),
+                ..r.metrics.load()
             })
             .collect();
         self.inner.metrics.snapshot(rows)

@@ -25,7 +25,8 @@
 //!   ([`partree_service::net::Transport`] selects, default from
 //!   `PARTREE_TRANSPORT`).
 //! * [`metrics`] — per-replica latency histograms and router counters,
-//!   exported as the same style of hand-written JSON as the service.
+//!   declared through the same `partree_exec::counters!` registry as the
+//!   service's.
 //!
 //! The gateway never transforms payloads: every response is
 //! byte-identical to what a direct connection to the serving replica

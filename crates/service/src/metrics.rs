@@ -1,195 +1,131 @@
 //! Aggregate service counters, exported as JSON.
 //!
-//! All counters are relaxed atomics — they cross batch-worker and
-//! connection threads — and the JSON snapshot is written by hand (no
-//! external crates), flat and integer-valued so the span-tree parser
-//! conventions of `EXPERIMENTS.md` carry over: unknown keys are for
-//! readers to skip.
+//! The counters are declared once, below, through the
+//! `partree_exec::counters!` registry: relaxed atomic cells (they cross
+//! batch-worker and connection threads), the snapshot struct, the copy
+//! between them and the flat integer-valued JSON all come from that one
+//! list. Key order is declaration order; unknown keys are for readers to
+//! skip, as in the span-tree conventions of `EXPERIMENTS.md`.
 
 use partree_codecs::family::FAMILY_COUNT;
 use partree_codecs::FamilyId;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use partree_exec::metrics as registry;
 
-/// Monotonic counters for one [`crate::server::Service`].
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Requests accepted into the queue (encode + decode).
-    pub accepted: AtomicU64,
-    /// Encode requests completed successfully.
-    pub encoded: AtomicU64,
-    /// Decode requests completed successfully.
-    pub decoded: AtomicU64,
-    /// Requests rejected with `Busy` (queue full — load shed).
-    pub busy: AtomicU64,
-    /// Requests whose submitter gave up waiting (deadline missed).
-    pub timeouts: AtomicU64,
-    /// Jobs dropped at drain time because their deadline had already
-    /// passed (the submitter timed out while they sat in the queue;
-    /// distinct from `timeouts`, which the submitter counts, so one
-    /// request is never tallied twice).
-    pub expired: AtomicU64,
-    /// Requests answered with an `Error` response.
-    pub errors: AtomicU64,
-    /// Scheduling ticks executed by batch workers.
-    pub batches: AtomicU64,
-    /// Requests processed across all ticks (`batched_requests /
-    /// batches` is the mean batch size — the amortization factor).
-    pub batched_requests: AtomicU64,
-    /// Largest single batch observed.
-    pub max_batch: AtomicU64,
-    /// Traced PRAM work across all batch span trees.
-    pub work: AtomicU64,
-    /// Traced PRAM depth across all batch span trees (sequential
-    /// composition over batches; within a batch, Brent's rules apply).
-    pub depth: AtomicU64,
-    /// Payload bytes received in encode requests.
-    pub bytes_in: AtomicU64,
-    /// Encoded bytes produced by encode responses.
-    pub bytes_out: AtomicU64,
-    /// Sum of queue→response latencies, microseconds.
-    pub latency_us_total: AtomicU64,
-    /// Largest single queue→response latency, microseconds.
-    pub latency_us_max: AtomicU64,
-    /// Gauge: 1 once the service is draining (new work shed as `Busy`).
-    pub draining: AtomicU64,
-    /// Connections severed by the reactor's per-connection write-queue
-    /// cap (a peer stopped reading while responses kept accumulating).
-    pub write_overflows: AtomicU64,
-    /// Encode/decode requests accepted per code family, indexed by
-    /// [`FamilyId::index`].
-    pub family_requests: [AtomicU64; FAMILY_COUNT],
-    /// Delta requests processed (`EncodeDelta` + `DecodeDelta`).
-    pub delta_requests: AtomicU64,
-    /// Delta requests served by a patch rule (or an already-resident
-    /// drifted codebook) — no full construction ran.
-    pub delta_patched: AtomicU64,
-    /// Delta requests that fell back to a full from-scratch rebuild
-    /// (structural drift, a tie refusal, or a family with no patch
-    /// rule).
-    pub delta_fallbacks: AtomicU64,
-    /// Delta requests rejected because the named base codebook was
-    /// resident in neither tier.
-    pub delta_unknown_base: AtomicU64,
-}
+partree_exec::counters! {
+    /// Monotonic counters for one [`crate::server::Service`].
+    #[derive(Debug, Default)]
+    pub struct Metrics;
 
-/// A plain-data copy of [`Metrics`] plus cache counters, as exported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
-    pub accepted: u64,
-    /// Encode requests completed.
-    pub encoded: u64,
-    /// Decode requests completed.
-    pub decoded: u64,
-    /// `Busy` rejections.
-    pub busy: u64,
-    /// Deadline misses.
-    pub timeouts: u64,
-    /// Already-expired jobs dropped undone at drain time.
-    pub expired: u64,
-    /// `Error` responses.
-    pub errors: u64,
-    /// Scheduling ticks.
-    pub batches: u64,
-    /// Requests across all ticks.
-    pub batched_requests: u64,
-    /// Largest batch.
-    pub max_batch: u64,
-    /// Codebook constructions actually performed. With no tier-1
-    /// store this equals `cache_misses`; with one attached it is the
-    /// misses tier 1 could not answer.
-    pub constructions: u64,
-    /// Codebook cache hits.
-    pub cache_hits: u64,
-    /// Codebook cache misses.
-    pub cache_misses: u64,
-    /// Codebook cache evictions.
-    pub cache_evictions: u64,
-    /// Tier-0 (in-memory) hits; alias of `cache_hits` under the
-    /// tiered-store naming, kept separate so E16 charts both tiers
-    /// with symmetric keys.
-    pub tier0_hits: u64,
-    /// Tier-0 misses answered by the tier-1 store (no construction).
-    pub tier1_hits: u64,
-    /// Tier-1 records promoted into tier 0.
-    pub tier1_promotions: u64,
-    /// Tier-1 store operations that failed (read or write-through).
-    pub store_errors: u64,
-    /// Warm-up entries adopted from a peer via the `WarmUp` opcode.
-    pub warmup_accepted: u64,
-    /// Encode/decode requests accepted per code family, indexed by
-    /// [`FamilyId::index`] (JSON keys `family_<name>_requests`).
-    pub family_requests: [u64; FAMILY_COUNT],
-    /// Tier-0 cache hits per code family (`family_<name>_hits`).
-    pub family_hits: [u64; FAMILY_COUNT],
-    /// Constructions per code family (`family_<name>_constructions`).
-    pub family_constructions: [u64; FAMILY_COUNT],
-    /// Delta requests processed.
-    pub delta_requests: u64,
-    /// Delta requests served without a full construction.
-    pub delta_patched: u64,
-    /// Delta requests that rebuilt from scratch.
-    pub delta_fallbacks: u64,
-    /// Delta requests whose base codebook was not resident.
-    pub delta_unknown_base: u64,
-    /// Traced work total.
-    pub work: u64,
-    /// Traced depth total.
-    pub depth: u64,
-    /// Payload bytes in.
-    pub bytes_in: u64,
-    /// Encoded bytes out.
-    pub bytes_out: u64,
-    /// Latency sum, µs.
-    pub latency_us_total: u64,
-    /// Latency max, µs.
-    pub latency_us_max: u64,
-    /// Gauge: 1 once the service is draining.
-    pub draining: u64,
-    /// Connections severed by the reactor write-backpressure cap.
-    pub write_overflows: u64,
-    /// Executor: successful steals on the shared `partree-exec` pool
-    /// (process-wide — the pool is shared by everything in-process).
-    pub exec_steals: u64,
-    /// Executor: worker park events (idle transitions).
-    pub exec_parks: u64,
-    /// Executor: jobs waiting in the injector right now (gauge).
-    pub exec_injector_depth: u64,
-    /// Executor: jobs (lane blocks + join halves) executed.
-    pub exec_blocks: u64,
+    /// A plain-data copy of [`Metrics`] plus cache and executor counters,
+    /// as exported.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct MetricsSnapshot {
+        /// Requests accepted into the queue (encode + decode).
+        accepted,
+        /// Encode requests completed successfully.
+        encoded,
+        /// Decode requests completed successfully.
+        decoded,
+        /// Requests rejected with `Busy` (queue full — load shed).
+        busy,
+        /// Requests whose submitter gave up waiting (deadline missed).
+        timeouts,
+        /// Jobs dropped at drain time because their deadline had already
+        /// passed (the submitter timed out while they sat in the queue;
+        /// distinct from `timeouts`, which the submitter counts, so one
+        /// request is never tallied twice).
+        expired,
+        /// Requests answered with an `Error` response.
+        errors,
+        /// Scheduling ticks executed by batch workers.
+        batches,
+        /// Requests processed across all ticks (`batched_requests /
+        /// batches` is the mean batch size — the amortization factor).
+        batched_requests,
+        /// Largest single batch observed.
+        max_batch,
+        /// Codebook constructions actually performed. With no tier-1
+        /// store this equals `cache_misses`; with one attached it is the
+        /// misses tier 1 could not answer.
+        external constructions,
+        /// Codebook cache hits.
+        external cache_hits,
+        /// Codebook cache misses.
+        external cache_misses,
+        /// Codebook cache evictions.
+        external cache_evictions,
+        /// Tier-0 (in-memory) hits; alias of `cache_hits` under the
+        /// tiered-store naming, kept separate so E16 charts both tiers
+        /// with symmetric keys.
+        external tier0_hits,
+        /// Tier-0 misses answered by the tier-1 store (no construction).
+        external tier1_hits,
+        /// Tier-1 records promoted into tier 0.
+        external tier1_promotions,
+        /// Tier-1 store operations that failed (read or write-through).
+        external store_errors,
+        /// Warm-up entries adopted from a peer via the `WarmUp` opcode.
+        external warmup_accepted,
+        // Per code family, indexed by `FamilyId::index` (JSON keys
+        // `family_<name>_{requests,hits,constructions}`).
+        [FAMILY_COUNT; FamilyId::ALL.map(FamilyId::name)] {
+            /// Encode/decode requests accepted per code family.
+            family_requests,
+            /// Tier-0 cache hits per code family.
+            external family_hits,
+            /// Constructions per code family.
+            external family_constructions,
+        },
+        /// Delta requests processed (`EncodeDelta` + `DecodeDelta`).
+        delta_requests,
+        /// Delta requests served by a patch rule (or an already-resident
+        /// drifted codebook) — no full construction ran.
+        delta_patched,
+        /// Delta requests that fell back to a full from-scratch rebuild
+        /// (structural drift, a tie refusal, or a family with no patch
+        /// rule).
+        delta_fallbacks,
+        /// Delta requests rejected because the named base codebook was
+        /// resident in neither tier.
+        delta_unknown_base,
+        /// Traced PRAM work across all batch span trees.
+        work,
+        /// Traced PRAM depth across all batch span trees (sequential
+        /// composition over batches; within a batch, Brent's rules apply).
+        depth,
+        /// Payload bytes received in encode requests.
+        bytes_in,
+        /// Encoded bytes produced by encode responses.
+        bytes_out,
+        /// Sum of queue→response latencies, microseconds.
+        latency_us_total,
+        /// Largest single queue→response latency, microseconds.
+        latency_us_max,
+        /// Gauge: 1 once the service is draining (new work shed as `Busy`).
+        draining,
+        /// Connections severed by the reactor's per-connection write-queue
+        /// cap (a peer stopped reading while responses kept accumulating).
+        write_overflows,
+        /// Executor: successful steals on the shared `partree-exec` pool
+        /// (process-wide — the pool is shared by everything in-process).
+        external exec_steals,
+        /// Executor: worker park events (idle transitions).
+        external exec_parks,
+        /// Executor: jobs waiting in the injector right now (gauge).
+        external exec_injector_depth,
+        /// Executor: jobs (lane blocks + join halves) executed.
+        external exec_blocks,
+    }
 }
 
 impl Metrics {
-    /// Raises `cell` to at least `v` (relaxed compare-exchange loop).
-    pub fn raise_max(cell: &AtomicU64, v: u64) {
-        let mut cur = cell.load(Ordering::Relaxed);
-        while v > cur {
-            match cell.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Freezes the counters together with the cache's hit/miss/eviction
     /// numbers (the cache owns those so lookups stay lock-free here) and
     /// the shared executor pool's scheduling counters (zeros if no
     /// parallel work has run in-process yet).
     pub fn snapshot(&self, cache: &crate::codebook::CodebookCache) -> MetricsSnapshot {
         let exec = partree_exec::global_snapshot();
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         MetricsSnapshot {
-            accepted: get(&self.accepted),
-            encoded: get(&self.encoded),
-            decoded: get(&self.decoded),
-            busy: get(&self.busy),
-            timeouts: get(&self.timeouts),
-            expired: get(&self.expired),
-            errors: get(&self.errors),
-            batches: get(&self.batches),
-            batched_requests: get(&self.batched_requests),
-            max_batch: get(&self.max_batch),
             constructions: cache.constructions(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
@@ -199,25 +135,13 @@ impl Metrics {
             tier1_promotions: cache.tier1_promotions(),
             store_errors: cache.store_errors(),
             warmup_accepted: cache.warmup_accepted(),
-            family_requests: std::array::from_fn(|i| get(&self.family_requests[i])),
             family_hits: cache.family_hits(),
             family_constructions: cache.family_constructions(),
-            delta_requests: get(&self.delta_requests),
-            delta_patched: get(&self.delta_patched),
-            delta_fallbacks: get(&self.delta_fallbacks),
-            delta_unknown_base: get(&self.delta_unknown_base),
-            work: get(&self.work),
-            depth: get(&self.depth),
-            bytes_in: get(&self.bytes_in),
-            bytes_out: get(&self.bytes_out),
-            latency_us_total: get(&self.latency_us_total),
-            latency_us_max: get(&self.latency_us_max),
-            draining: get(&self.draining),
-            write_overflows: get(&self.write_overflows),
             exec_steals: exec.steals,
             exec_parks: exec.parks,
             exec_injector_depth: exec.injector_depth,
             exec_blocks: exec.blocks_executed,
+            ..self.load()
         }
     }
 }
@@ -225,143 +149,13 @@ impl Metrics {
 impl MetricsSnapshot {
     /// One flat JSON object, keys in declaration order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        let mut first = true;
-        let mut field = |k: &str, v: u64| {
-            let sep = if first { "" } else { "," };
-            first = false;
-            let _ = write!(out, "{sep}\"{k}\":{v}");
-        };
-        field("accepted", self.accepted);
-        field("encoded", self.encoded);
-        field("decoded", self.decoded);
-        field("busy", self.busy);
-        field("timeouts", self.timeouts);
-        field("expired", self.expired);
-        field("errors", self.errors);
-        field("batches", self.batches);
-        field("batched_requests", self.batched_requests);
-        field("max_batch", self.max_batch);
-        field("constructions", self.constructions);
-        field("cache_hits", self.cache_hits);
-        field("cache_misses", self.cache_misses);
-        field("cache_evictions", self.cache_evictions);
-        field("tier0_hits", self.tier0_hits);
-        field("tier1_hits", self.tier1_hits);
-        field("tier1_promotions", self.tier1_promotions);
-        field("store_errors", self.store_errors);
-        field("warmup_accepted", self.warmup_accepted);
-        for f in FamilyId::ALL {
-            field(
-                &format!("family_{}_requests", f.name()),
-                self.family_requests[f.index()],
-            );
-            field(
-                &format!("family_{}_hits", f.name()),
-                self.family_hits[f.index()],
-            );
-            field(
-                &format!("family_{}_constructions", f.name()),
-                self.family_constructions[f.index()],
-            );
-        }
-        field("delta_requests", self.delta_requests);
-        field("delta_patched", self.delta_patched);
-        field("delta_fallbacks", self.delta_fallbacks);
-        field("delta_unknown_base", self.delta_unknown_base);
-        field("work", self.work);
-        field("depth", self.depth);
-        field("bytes_in", self.bytes_in);
-        field("bytes_out", self.bytes_out);
-        field("latency_us_total", self.latency_us_total);
-        field("latency_us_max", self.latency_us_max);
-        field("draining", self.draining);
-        field("write_overflows", self.write_overflows);
-        field("exec_steals", self.exec_steals);
-        field("exec_parks", self.exec_parks);
-        field("exec_injector_depth", self.exec_injector_depth);
-        field("exec_blocks", self.exec_blocks);
-        out.push('}');
-        out
+        registry::to_json(self)
     }
 
     /// Parses a JSON object produced by [`MetricsSnapshot::to_json`].
     /// Unknown keys are ignored; missing keys default to 0.
     pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("metrics JSON must be one object")?;
-        let mut snap = MetricsSnapshot::default();
-        if body.trim().is_empty() {
-            return Ok(snap);
-        }
-        for pair in body.split(',') {
-            let (k, v) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("bad pair {pair:?}"))?;
-            let k = k.trim().trim_matches('"');
-            let v: u64 = v
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad value for {k}: {e}"))?;
-            // Per-family keys: family_<name>_{requests,hits,constructions}.
-            if let Some((fname, kind)) = k
-                .strip_prefix("family_")
-                .and_then(|rest| rest.rsplit_once('_'))
-            {
-                if let Some(f) = FamilyId::ALL.iter().find(|f| f.name() == fname) {
-                    match kind {
-                        "requests" => snap.family_requests[f.index()] = v,
-                        "hits" => snap.family_hits[f.index()] = v,
-                        "constructions" => snap.family_constructions[f.index()] = v,
-                        _ => {} // forward compatibility
-                    }
-                    continue;
-                }
-            }
-            match k {
-                "accepted" => snap.accepted = v,
-                "encoded" => snap.encoded = v,
-                "decoded" => snap.decoded = v,
-                "busy" => snap.busy = v,
-                "timeouts" => snap.timeouts = v,
-                "expired" => snap.expired = v,
-                "errors" => snap.errors = v,
-                "batches" => snap.batches = v,
-                "batched_requests" => snap.batched_requests = v,
-                "max_batch" => snap.max_batch = v,
-                "constructions" => snap.constructions = v,
-                "cache_hits" => snap.cache_hits = v,
-                "cache_misses" => snap.cache_misses = v,
-                "cache_evictions" => snap.cache_evictions = v,
-                "tier0_hits" => snap.tier0_hits = v,
-                "tier1_hits" => snap.tier1_hits = v,
-                "tier1_promotions" => snap.tier1_promotions = v,
-                "store_errors" => snap.store_errors = v,
-                "warmup_accepted" => snap.warmup_accepted = v,
-                "delta_requests" => snap.delta_requests = v,
-                "delta_patched" => snap.delta_patched = v,
-                "delta_fallbacks" => snap.delta_fallbacks = v,
-                "delta_unknown_base" => snap.delta_unknown_base = v,
-                "work" => snap.work = v,
-                "depth" => snap.depth = v,
-                "bytes_in" => snap.bytes_in = v,
-                "bytes_out" => snap.bytes_out = v,
-                "latency_us_total" => snap.latency_us_total = v,
-                "latency_us_max" => snap.latency_us_max = v,
-                "draining" => snap.draining = v,
-                "write_overflows" => snap.write_overflows = v,
-                "exec_steals" => snap.exec_steals = v,
-                "exec_parks" => snap.exec_parks = v,
-                "exec_injector_depth" => snap.exec_injector_depth = v,
-                "exec_blocks" => snap.exec_blocks = v,
-                _ => {} // forward compatibility
-            }
-        }
-        Ok(snap)
+        registry::from_json(text)
     }
 }
 
@@ -369,6 +163,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::codebook::CodebookCache;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn json_roundtrip() {
@@ -378,8 +173,8 @@ mod tests {
         m.busy.store(1, Ordering::Relaxed);
         m.family_requests[FamilyId::ShannonFano.index()].store(5, Ordering::Relaxed);
         m.family_requests[FamilyId::ChoosableEdge.index()].store(2, Ordering::Relaxed);
-        Metrics::raise_max(&m.max_batch, 4);
-        Metrics::raise_max(&m.max_batch, 2); // no-op, 4 stays
+        registry::raise_max(&m.max_batch, 4);
+        registry::raise_max(&m.max_batch, 2); // no-op, 4 stays
         let cache = CodebookCache::new(2, 4);
         let snap = m.snapshot(&cache);
         assert_eq!(snap.max_batch, 4);

@@ -31,6 +31,7 @@ use crate::frame::{ErrorCode, Histogram, Request, Response, WarmEntry};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use partree_codecs::FamilyId;
 use partree_delta::{DeltaConfig, DeltaPath};
+use partree_exec::metrics::raise_max;
 use partree_pram::CostTracer;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -591,7 +592,7 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
     m.batches.fetch_add(1, Ordering::Relaxed);
     m.batched_requests
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    Metrics::raise_max(&m.max_batch, batch.len() as u64);
+    raise_max(&m.max_batch, batch.len() as u64);
 
     // Group jobs by the family-tagged histogram hash, preserving
     // arrival order within a group (stable drain order keeps
@@ -955,7 +956,7 @@ fn respond(inner: &Inner, job: Job, response: Response) {
         .metrics
         .latency_us_total
         .fetch_add(us, Ordering::Relaxed);
-    Metrics::raise_max(&inner.metrics.latency_us_max, us);
+    raise_max(&inner.metrics.latency_us_max, us);
     job.reply.deliver(response);
 }
 

@@ -18,11 +18,12 @@
 //! * `errcode-undocumented` / `errcode-drift` — the same pair for
 //!   `ErrorCode` variants vs the `` `Name=N` `` error-code list.
 //! * `metric-unemitted` — a smoke bin under `crates/*/src/bin/` asserts
-//!   a counter field of a metrics snapshot (`snap.retries`,
-//!   `m.tier1_hits`, …) that no snapshot `to_json` emits; the CI signal
-//!   would pass or fail on a number operators can never see. Counter
-//!   arrays (`family_requests: [u64; N]`) match their per-family key
-//!   templates (`family_{}_requests`).
+//!   a counter field of a metrics snapshot (`snap.steals`, …) that no
+//!   `Stats` reply emits under that name; the CI signal would pass or
+//!   fail on a number operators can never see. Both name sets come from
+//!   the counter registry's declarations (`Counters::NAMES`), where a
+//!   counter array (`family_requests`) is named once for all its
+//!   per-family keys.
 //! * `env-undocumented` — code reads a `PARTREE_*` variable the README
 //!   does not document. Anchored at the first read site.
 //! * `env-drift` — the README documents a `PARTREE_*` variable no code
@@ -34,11 +35,15 @@
 //! line).
 //!
 //! Like the lint pass this is line/token-based on purpose: the enum
-//! bodies, `field("…")` calls, and `\"key\":` emission strings it
-//! parses are rigidly formatted in this codebase, and staying
-//! dependency-free keeps the pass runnable in the sealed container.
+//! bodies and Markdown tables it parses are rigidly formatted in this
+//! codebase, and staying dependency-free keeps the pass runnable in the
+//! sealed container.
 
 use crate::lint::{annotated, code_of, waived, Finding};
+use partree_exec::metrics::Counters;
+use partree_exec::ExecSnapshot;
+use partree_gateway::{GatewaySnapshot, ReplicaSnapshot};
+use partree_service::MetricsSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -239,118 +244,28 @@ pub fn check_codes(
     out
 }
 
-fn is_key_char(c: char) -> bool {
-    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '{' || c == '}'
-}
-
-/// `family_{}_requests` (a per-family key template) collapses to the
-/// array field name `family_requests` that smoke bins index into.
-fn canonical_key(raw: &str) -> String {
-    raw.replace("{}_", "")
-}
-
-/// JSON keys emitted by the `to_json` bodies in a metrics source file.
-/// Recognizes the two emission idioms in this codebase: `field("name",
-/// …)` closure calls (with `format!("family_{}_…")` templates), and
-/// `\"name\":` escapes inside `write!` format strings.
-fn parse_emitted_keys(src: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for body in to_json_bodies(src) {
-        for prefix in ["field(\"", "format!(\""] {
-            let mut from = 0;
-            while let Some(off) = body[from..].find(prefix) {
-                let start = from + off + prefix.len();
-                let end = start
-                    + body[start..]
-                        .chars()
-                        .take_while(|c| is_key_char(*c))
-                        .count();
-                let raw = &body[start..end];
-                // `format!` captures only count when they are family
-                // templates; other formatting in to_json is not a key.
-                if !raw.is_empty() && (prefix.starts_with("field") || raw.contains("{}")) {
-                    out.insert(canonical_key(raw));
-                }
-                from = end;
-            }
-        }
-        // Escaped keys inside write! strings: `\"requests\":{}`. In the
-        // source text that is backslash, quote, name, backslash, quote,
-        // colon.
-        let mut from = 0;
-        while let Some(off) = body[from..].find("\\\"") {
-            let start = from + off + 2;
-            let end = start
-                + body[start..]
-                    .chars()
-                    .take_while(|c| is_key_char(*c))
-                    .count();
-            if end > start && body[end..].starts_with("\\\":") {
-                out.insert(canonical_key(&body[start..end]));
-            }
-            from = start;
-        }
-    }
-    out
-}
-
-/// Brace-matched bodies of every `fn to_json` in `src`, so keys named
-/// in `from_json` match arms or in tests never count as emitted.
-fn to_json_bodies(src: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(off) = src[from..].find("fn to_json") {
-        let start = from + off;
-        let Some(open_rel) = src[start..].find('{') else {
-            break;
-        };
-        let open = start + open_rel;
-        let mut depth = 0usize;
-        let mut end = src.len();
-        for (i, c) in src[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        out.push(&src[open..end]);
-        from = end.max(start + 1);
-    }
-    out
-}
-
-/// Counter fields (`pub name: u64` or `pub name: [u64; …]`) declared in
-/// a metrics source file — the universe of names whose assertion in a
-/// smoke bin implies a matching emitted key. Non-counter fields
-/// (strings, bools, `Vec`s with reshaped emission like `latency` →
-/// `latency_log2_us`) are deliberately outside the contract.
-fn parse_counter_fields(src: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for raw in src.lines() {
-        let t = code_of(raw).trim();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue;
-        };
-        let Some((name, ty)) = rest.split_once(':') else {
-            continue;
-        };
-        let ty = ty.trim();
-        if ty.starts_with("u64") || ty.starts_with("[u64;") {
-            out.insert(name.trim().to_string());
-        }
-    }
-    out
+/// Counter names for the `metric-unemitted` rule, read from the counter
+/// registry's declarations: `(counters, emitted)`. `counters` is every
+/// name a snapshot declares — service, gateway, replica rows and the
+/// executor pool; `emitted` is the subset a `Stats` reply serializes.
+/// The executor's counters reach `Stats` only renamed (`exec_steals`),
+/// so a bin asserting `pool.steals` asserts a number operators never
+/// see under that name.
+fn registry_names() -> (BTreeSet<String>, BTreeSet<String>) {
+    let emitted = [
+        MetricsSnapshot::NAMES,
+        GatewaySnapshot::NAMES,
+        ReplicaSnapshot::NAMES,
+    ]
+    .concat();
+    let counters = [emitted.as_slice(), ExecSnapshot::NAMES].concat();
+    let set =
+        |names: Vec<&str>| -> BTreeSet<String> { names.into_iter().map(String::from).collect() };
+    (set(counters), set(emitted))
 }
 
 /// Flags counter fields asserted in a smoke bin (`.name` access) that
-/// no snapshot `to_json` emits.
+/// no `Stats` reply emits.
 pub fn check_metrics_file(
     path: &str,
     src: &str,
@@ -386,8 +301,8 @@ pub fn check_metrics_file(
                     line: i + 1,
                     rule: "metric-unemitted",
                     message: format!(
-                        "asserts counter `{field}` but no metrics snapshot \
-                         `to_json` emits a `{field}` key; the CI signal is \
+                        "asserts counter `{field}` but no `Stats` reply \
+                         emits a `{field}` key; the CI signal is \
                          invisible to operators — emit it or waive with the \
                          reason it is test-only"
                     ),
@@ -521,17 +436,7 @@ pub fn contracts_tree(root: &Path) -> Vec<Finding> {
     }
 
     // Metric names asserted by smoke bins vs emitted snapshot keys.
-    let mut counters = BTreeSet::new();
-    let mut emitted = BTreeSet::new();
-    for rel in [
-        "crates/service/src/metrics.rs",
-        "crates/gateway/src/metrics.rs",
-    ] {
-        if let Some(src) = read(rel, &mut findings) {
-            counters.extend(parse_counter_fields(&src));
-            emitted.extend(parse_emitted_keys(&src));
-        }
-    }
+    let (counters, emitted) = registry_names();
     for (rel, src) in collect_sources(root, &mut findings, true) {
         findings.extend(check_metrics_file(&rel, &src, &counters, &emitted));
     }
@@ -709,45 +614,27 @@ mod tests {
         assert!(found.is_empty(), "{found:?}");
     }
 
-    const METRICS: &str = "pub struct Snap {\n    pub encoded: u64,\n    \
-                           pub retries: u64,\n    pub family_requests: [u64; 4],\n    \
-                           pub latency: Vec<u64>,\n}\n\
-                           impl Snap {\n    pub fn to_json(&self) -> String {\n        \
-                           let mut field = |k: &str, v: u64| {};\n        \
-                           field(\"encoded\", self.encoded);\n        \
-                           for f in FAMILIES {\n            \
-                           field(&format!(\"family_{}_requests\", f.name()), 0);\n        \
-                           }\n        String::new()\n    }\n}\n";
-
     #[test]
-    fn counter_and_emission_parsing() {
-        let counters = parse_counter_fields(METRICS);
-        assert!(counters.contains("encoded"));
-        assert!(counters.contains("family_requests"));
-        assert!(!counters.contains("latency"), "Vec fields are exempt");
-        let emitted = parse_emitted_keys(METRICS);
-        assert!(emitted.contains("encoded"));
+    fn registry_names_split_exec_from_emitted() {
+        let (counters, emitted) = registry_names();
+        for name in [
+            "encoded",
+            "family_requests",
+            "retries",
+            "attempts",
+            "latency_us_max",
+        ] {
+            assert!(
+                emitted.contains(name),
+                "{name} must be emitted: {emitted:?}"
+            );
+        }
+        assert!(counters.is_superset(&emitted));
+        assert!(counters.contains("steals") && !emitted.contains("steals"));
         assert!(
-            emitted.contains("family_requests"),
-            "template collapses to the array field name: {emitted:?}"
+            !counters.contains("latency"),
+            "plain fields are not counters"
         );
-    }
-
-    #[test]
-    fn escaped_write_keys_are_emissions() {
-        let src = "impl G {\n    pub fn to_json(&self) -> String {\n        \
-                   let _ = write!(s, \"{{\\\"retries\\\":{},\\\"family_{}_requests\\\":{}}}\", \
-                   self.retries, 0);\n        s\n    }\n}\n";
-        let emitted = parse_emitted_keys(src);
-        assert!(emitted.contains("retries"), "{emitted:?}");
-        assert!(emitted.contains("family_requests"), "{emitted:?}");
-    }
-
-    #[test]
-    fn from_json_keys_are_not_emissions() {
-        let src = "impl S {\n    pub fn from_json(s: &str) {\n        \
-                   match k {\n            \"ghost_counter\" => {}\n        }\n    }\n}\n";
-        assert!(parse_emitted_keys(src).is_empty());
     }
 
     #[test]

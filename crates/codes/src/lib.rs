@@ -11,8 +11,13 @@
 //!   prefix-freeness — the Kraft/McMillan observation of §1);
 //! * [`canonical`] — canonical codes from code lengths alone (the form
 //!   used to ship a code table compactly);
-//! * [`decoder`] — the length-indexed table decoder for canonical codes
-//!   (the DEFLATE-class fast path, no tree walking);
+//! * [`table`] — the canonical layout (codeword values from lengths)
+//!   shared by the two serving kernels;
+//! * [`encoder`] — the table-driven encoder, appending whole codewords
+//!   through a 64-bit accumulator;
+//! * [`decoder`] — the table-driven decoder: a primary lookup table for
+//!   short codewords, the length-indexed walk for long ones (the
+//!   DEFLATE-class fast path, no tree walking);
 //! * [`shannon_fano`] — Theorem 7.4: the Shannon–Fano code built with
 //!   the monotone tree construction, within one bit of Huffman
 //!   (Claim 7.1).
@@ -25,8 +30,10 @@ pub mod analysis;
 pub mod bitio;
 pub mod canonical;
 pub mod decoder;
+pub mod encoder;
 pub mod prefix;
 pub mod shannon_fano;
+pub mod table;
 
 pub use prefix::PrefixCode;
 pub use shannon_fano::{shannon_fano, ShannonFanoCode};

@@ -5,12 +5,20 @@
 //! deliverable: canonical code lengths from the requested
 //! [`FamilyId`]'s construction (classic Huffman via
 //! [`partree_huffman::parallel`], Shannon–Fano, minimax, or
-//! choosable-edge via `partree-codecs`), realized as a canonical
-//! [`PrefixCode`] for encoding and a table-driven [`CanonicalDecoder`]
-//! for decoding. Construction is deterministic — same histogram, same
-//! family, same codebook, bit for bit, at any pool width — which is
-//! what lets the cache hand the same `Arc` to racing requests without
-//! coordination beyond first-insert-wins.
+//! choosable-edge via `partree-codecs`), realized as the canonical
+//! code's two serving kernels, built once per codebook by
+//! [`canonical_kernels`]: a [`CanonicalEncoder`] that appends whole
+//! codewords through a 64-bit accumulator, and a [`CanonicalDecoder`]
+//! that resolves short codewords with one primary-table lookup and
+//! long ones with the length-indexed walk. Both code payload bytes
+//! directly, with no widened symbol vector in between, and produce
+//! exactly the bytes of the tree construction
+//! (`partree_codes::canonical::canonical_code`), which stays in
+//! `partree-codes` as the paper's construction and the test oracle.
+//! Construction is deterministic — same histogram, same family, same
+//! codebook, bit for bit, at any pool width — which is what lets the
+//! cache hand the same `Arc` to racing requests without coordination
+//! beyond first-insert-wins.
 //!
 //! [`CodebookCache`] shards by the **family-tagged** histogram hash
 //! ([`FamilyId::tagged_key`]) so concurrent batch workers rarely
@@ -37,17 +45,17 @@
 use crate::frame::{ErrorCode, FrameError, Histogram};
 use partree_codecs::family::FAMILY_COUNT;
 use partree_codecs::{family, FamilyId};
-use partree_codes::canonical::canonical_code;
 use partree_codes::decoder::CanonicalDecoder;
-use partree_codes::prefix::PrefixCode;
+use partree_codes::encoder::CanonicalEncoder;
+use partree_codes::table::canonical_kernels;
 use partree_pram::{CostTracer, WorkDepth};
 use partree_store::CodebookStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A built codec for one `(histogram, family)` pair: canonical code +
-/// table decoder.
+/// A built codec for one `(histogram, family)` pair: the canonical
+/// code's table encoder and table decoder.
 #[derive(Debug)]
 pub struct Codebook {
     /// Cache key: [`FamilyId::tagged_key`] over [`Histogram::hash64`].
@@ -62,7 +70,7 @@ pub struct Codebook {
     pub lengths: Vec<u32>,
     /// Work/depth spent constructing this codebook.
     pub construction: WorkDepth,
-    code: PrefixCode,
+    encoder: CanonicalEncoder,
     decoder: CanonicalDecoder,
 }
 
@@ -101,9 +109,8 @@ impl Codebook {
             .lengths_traced(histogram.counts(), tracer)
             .map_err(|e| internal("construction", e))?;
         let canon_span = tracer.span("canonicalize");
-        let code = canonical_code(&lengths).map_err(|e| internal("canonical code", e))?;
-        let decoder =
-            CanonicalDecoder::from_lengths(&lengths).map_err(|e| internal("decoder", e))?;
+        let (encoder, decoder) =
+            canonical_kernels(&lengths).map_err(|e| internal("canonical code", e))?;
         canon_span.step(lengths.len() as u64);
         Ok(Codebook {
             key: family_id.tagged_key(histogram.hash64()),
@@ -111,14 +118,14 @@ impl Codebook {
             histogram: histogram.clone(),
             lengths,
             construction: tracer.aggregate(),
-            code,
+            encoder,
             decoder,
         })
     }
 
     /// Realizes a codebook from already-known code lengths — the
     /// tier-1 promotion and warm-up path. Skips construction entirely:
-    /// canonical code + decoder tables are rebuilt from the lengths,
+    /// the encoder and decoder tables are rebuilt from the lengths,
     /// which is exactly what [`Codebook::build`] does after its
     /// construction phase, so the result is bit-identical to a
     /// from-scratch build of the same `(histogram, family)` pair.
@@ -148,9 +155,8 @@ impl Codebook {
             )
         }
         let span = tracer.span("canonicalize-from-lengths");
-        let code = canonical_code(&lengths).map_err(|e| invalid("canonical code", e))?;
-        let decoder =
-            CanonicalDecoder::from_lengths(&lengths).map_err(|e| invalid("decoder", e))?;
+        let (encoder, decoder) =
+            canonical_kernels(&lengths).map_err(|e| invalid("canonical code", e))?;
         span.step(lengths.len() as u64);
         Ok(Codebook {
             key: family_id.tagged_key(histogram.hash64()),
@@ -158,7 +164,7 @@ impl Codebook {
             histogram: histogram.clone(),
             lengths,
             construction: WorkDepth::default(),
-            code,
+            encoder,
             decoder,
         })
     }
@@ -180,33 +186,20 @@ impl Codebook {
     }
 
     /// Encodes payload symbols (one byte each) to `(bytes, bit_len)`.
+    /// A byte outside the alphabet is [`ErrorCode::SymbolOutOfRange`].
     pub fn encode(&self, payload: &[u8]) -> Result<(Vec<u8>, u64), FrameError> {
-        let n = self.histogram.alphabet();
-        let symbols: Result<Vec<usize>, FrameError> = payload
-            .iter()
-            .map(|&b| {
-                if (b as usize) < n {
-                    Ok(b as usize)
-                } else {
-                    Err(FrameError::new(
-                        ErrorCode::SymbolOutOfRange,
-                        format!("symbol {b} outside alphabet of {n}"),
-                    ))
-                }
-            })
-            .collect();
-        self.code
-            .encode(&symbols?)
-            .map_err(|e| FrameError::new(ErrorCode::Internal, format!("encode failed: {e}")))
+        self.encoder
+            .encode(payload)
+            .map_err(|e| FrameError::new(ErrorCode::SymbolOutOfRange, e.to_string()))
     }
 
-    /// Decodes `bit_len` bits of `data` back to payload symbols.
+    /// Decodes `bit_len` bits of `data` back to payload symbols. Any
+    /// malformed stream is [`ErrorCode::CorruptPayload`].
     pub fn decode(&self, data: &[u8], bit_len: u64) -> Result<Vec<u8>, FrameError> {
-        let symbols = self.decoder.decode(data, bit_len).map_err(|e| {
-            FrameError::new(ErrorCode::CorruptPayload, format!("decode failed: {e}"))
-        })?;
         // Alphabet ≤ 256, so every symbol index fits a byte.
-        Ok(symbols.into_iter().map(|s| s as u8).collect())
+        self.decoder
+            .decode_bytes(data, bit_len)
+            .map_err(|e| FrameError::new(ErrorCode::CorruptPayload, format!("decode failed: {e}")))
     }
 }
 

@@ -25,10 +25,11 @@
 //!   would make segment layout — and recovery behaviour — vary by run.
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` on the request paths
 //!   (`service/src/{server,net}.rs`,
-//!   `gateway/src/{gateway,pool,breaker,route}.rs`, and the store's
-//!   request/recovery paths `store/src/{log,segment,record}.rs`): a
-//!   poisoned lock or failed spawn there must be an explicit, waived
-//!   decision.
+//!   `gateway/src/{gateway,pool,breaker,route}.rs`, the store's
+//!   request/recovery paths `store/src/{log,segment,record}.rs`, and
+//!   the payload codec kernels `codes/src/{table,encoder,decoder}.rs`
+//!   that run on every warm request): a poisoned lock, failed spawn
+//!   or malformed payload there must be an explicit, waived decision.
 //! * `forbid-unsafe` — crates outside the unsafe core declare
 //!   `#![forbid(unsafe_code)]` in their `lib.rs`.
 //!
@@ -115,6 +116,9 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/store/src/log.rs",
     "crates/store/src/segment.rs",
     "crates/store/src/record.rs",
+    "crates/codes/src/table.rs",
+    "crates/codes/src/encoder.rs",
+    "crates/codes/src/decoder.rs",
 ];
 
 /// Entropy / wall-clock tokens banned from deterministic crates.

@@ -622,25 +622,24 @@ fn e13() {
     e13_transport();
 }
 
-/// E13, transport part — the same codec roundtrips driven over
-/// loopback TCP under both transports: the blocking
-/// thread-per-connection engine and the single-threaded epoll reactor.
-/// Every reactor response is asserted byte-identical to the direct
-/// in-process result (the blocking rows go through the same
-/// assertion), so the A/B compares cost only — the bytes are pinned.
+/// E13, transport part — codec roundtrips driven over loopback TCP
+/// against the single-threaded epoll reactor at 100 and 1000 open
+/// connections. Every response is asserted byte-identical to the direct
+/// in-process result, so the rows measure cost only — the bytes are
+/// pinned.
 fn e13_transport() {
     use partree_service::frame::{Histogram, Request, Response};
-    use partree_service::net::{Server, Transport};
+    use partree_service::net::Server;
     use partree_service::server::{Service, ServiceConfig};
     use partree_service::Client;
     use partree_service::FamilyId;
     use std::time::Duration;
 
-    println!("\n### E13  Transport A/B — thread-per-connection vs epoll reactor");
-    println!("one JSON line per (transport, connections); requests are sequential");
+    println!("\n### E13  Transport — the epoll reactor under many connections");
+    println!("one JSON line per connection count; requests are sequential");
     println!("encode+decode pairs, one per connection, bytes asserted identical");
     println!("to a direct in-process run; server_threads counts threads the");
-    println!("server engine added while all connections were open\n");
+    println!("reactor added while all connections were open\n");
 
     let live_threads = || std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count());
 
@@ -681,60 +680,45 @@ fn e13_transport() {
     direct.shutdown();
 
     for &conns in &[100usize, 1000] {
-        for transport in [Transport::Blocking, Transport::Reactor] {
-            let server = Server::bind_with(
-                Service::start(ServiceConfig::default()),
-                "127.0.0.1:0",
-                transport,
-            )
-            .expect("bind");
-            let addr = server.addr();
-            let threads_before = live_threads();
-            // Paced in bursts under the listener backlog (128).
-            let mut clients = Vec::with_capacity(conns);
-            for burst in 0..conns.div_ceil(64) {
-                for _ in 0..64.min(conns - burst * 64) {
-                    clients.push(Client::connect(addr).expect("connect"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
+        let server =
+            Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let threads_before = live_threads();
+        // Paced in bursts under the listener backlog (128).
+        let mut clients = Vec::with_capacity(conns);
+        for burst in 0..conns.div_ceil(64) {
+            for _ in 0..64.min(conns - burst * 64) {
+                clients.push(Client::connect(addr).expect("connect"));
             }
-            // Give the blocking engine time to finish spawning its
-            // per-connection handler threads before counting them.
-            std::thread::sleep(Duration::from_millis(50));
-            let server_threads = live_threads().saturating_sub(threads_before);
-
-            let t0 = Instant::now();
-            for (c, client) in clients.iter_mut().enumerate() {
-                let (hist, msg, want_bits, want_data) = &expected[c % expected.len()];
-                let (bits, data) = client.encode(hist, msg).expect("encode");
-                assert_eq!(
-                    (bits, &data),
-                    (*want_bits, want_data),
-                    "{transport:?}: encode bytes differ from the direct run"
-                );
-                let back = client.decode(hist, bits, &data).expect("decode");
-                assert_eq!(&back, msg, "{transport:?}: decode differs");
-            }
-            let elapsed_ms = ms(t0);
-            let requests = (conns * 2) as u64;
-            println!(
-                "{{\"experiment\":\"e13\",\"part\":\"transport\",\"transport\":\"{}\",\
-                 \"connections\":{conns},\"requests\":{requests},\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
-                 \"server_threads\":{server_threads}}}",
-                transport_label(transport),
-                requests as f64 / (elapsed_ms / 1e3),
-            );
-            drop(clients);
-            server.shutdown().expect("shutdown");
+            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-}
+        // Let the reactor drain its accept queue before counting.
+        std::thread::sleep(Duration::from_millis(50));
+        let server_threads = live_threads().saturating_sub(threads_before);
 
-fn transport_label(t: partree_service::net::Transport) -> &'static str {
-    match t {
-        partree_service::net::Transport::Blocking => "blocking",
-        partree_service::net::Transport::Reactor => "reactor",
+        let t0 = Instant::now();
+        for (c, client) in clients.iter_mut().enumerate() {
+            let (hist, msg, want_bits, want_data) = &expected[c % expected.len()];
+            let (bits, data) = client.encode(hist, msg).expect("encode");
+            assert_eq!(
+                (bits, &data),
+                (*want_bits, want_data),
+                "encode bytes differ from the direct run"
+            );
+            let back = client.decode(hist, bits, &data).expect("decode");
+            assert_eq!(&back, msg, "decode differs");
+        }
+        let elapsed_ms = ms(t0);
+        let requests = (conns * 2) as u64;
+        println!(
+            "{{\"experiment\":\"e13\",\"part\":\"transport\",\
+             \"connections\":{conns},\"requests\":{requests},\
+             \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
+             \"server_threads\":{server_threads}}}",
+            requests as f64 / (elapsed_ms / 1e3),
+        );
+        drop(clients);
+        server.shutdown().expect("shutdown");
     }
 }
 
@@ -852,22 +836,13 @@ fn pool_counters() -> [u64; 3] {
 fn e15() {
     use partree_gateway::{Gateway, GatewayConfig};
     use partree_service::frame::Histogram;
-    use partree_service::net::{Server, Transport};
+    use partree_service::net::Server;
     use partree_service::server::{Service, ServiceConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    // One env var A/Bs the whole experiment: PARTREE_TRANSPORT=reactor
-    // serves every replica off its epoll reactor and routes every
-    // gateway attempt through the shared rpc reactor.
-    let transport = Transport::from_env();
-
     println!("\n## E15  Replica gateway — sharded scaling and failover");
-    println!(
-        "transport: {} (set PARTREE_TRANSPORT to A/B)",
-        transport_label(transport)
-    );
     println!("one JSON line per fleet size, then one for the kill-one-replica run;");
     println!("constructions/cache_hits are summed over the surviving fleet\n");
 
@@ -898,12 +873,7 @@ fn e15() {
     for replicas in [1usize, 2, 3] {
         let servers: Vec<Server> = (0..replicas)
             .map(|_| {
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    transport,
-                )
-                .expect("bind")
+                Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").expect("bind")
             })
             .collect();
         let gw = Arc::new(Gateway::start(GatewayConfig::new(
@@ -933,13 +903,12 @@ fn e15() {
         });
         let requests = (CLIENTS * PER_CLIENT) as u64;
         println!(
-            "{{\"experiment\":\"e15\",\"part\":\"scaling\",\"transport\":\"{}\",\
+            "{{\"experiment\":\"e15\",\"part\":\"scaling\",\
              \"replicas\":{replicas},\
              \"clients\":{CLIENTS},\"requests\":{requests},\
              \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
              \"hedges_issued\":{},\"retries\":{},\"constructions\":{constructions},\
              \"cache_hits\":{cache_hits}}}",
-            transport_label(transport),
             requests as f64 / (elapsed_ms / 1e3),
             snap.hedges_issued,
             snap.retries,
@@ -956,13 +925,9 @@ fn e15() {
     // Part 2 — kill one of three replicas mid-run.
     let mut servers: Vec<Option<Server>> = (0..3)
         .map(|_| {
-            Server::bind_with(
-                Service::start(ServiceConfig::default()),
-                "127.0.0.1:0",
-                transport,
-            )
-            .map(Some)
-            .expect("bind")
+            Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0")
+                .map(Some)
+                .expect("bind")
         })
         .collect();
     let mut cfg = GatewayConfig::new(servers.iter().map(|s| s.as_ref().unwrap().addr()).collect());
@@ -1001,13 +966,12 @@ fn e15() {
     let snap = gw.snapshot();
     let (ok, shed) = (ok.load(Ordering::Relaxed), shed.load(Ordering::Relaxed));
     println!(
-        "{{\"experiment\":\"e15\",\"part\":\"failover\",\"transport\":\"{}\",\
+        "{{\"experiment\":\"e15\",\"part\":\"failover\",\
          \"replicas\":3,\"killed\":1,\
          \"clients\":{CLIENTS},\"ok\":{ok},\"shed\":{shed},\
          \"success_pct\":{:.2},\"elapsed_ms\":{elapsed_ms:.2},\
          \"retries\":{},\"failovers\":{},\"hedges_issued\":{},\"hedges_won\":{},\
          \"breaker_opened\":{}}}",
-        transport_label(transport),
         ok as f64 * 100.0 / (ok + shed).max(1) as f64,
         snap.retries,
         snap.failovers,

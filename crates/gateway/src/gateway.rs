@@ -4,10 +4,12 @@
 //!
 //! ## Attempt lifecycle
 //!
-//! Each codec request walks its key's preference order. Attempts run on
-//! their own thread (the blocking client pins one request to one
-//! connection) and report back over a channel; the router's event loop
-//! decides what each outcome means:
+//! Each codec request walks its key's preference order. Every attempt is
+//! a non-blocking call on the gateway's one RPC reactor
+//! ([`crate::reactor`]), which multiplexes all replica connections on a
+//! single epoll thread; the call's completion callback reports back over
+//! a channel, and the router's event loop decides what each outcome
+//! means:
 //!
 //! | outcome                         | class     | breaker        |
 //! |---------------------------------|-----------|----------------|
@@ -28,9 +30,10 @@
 //! `max(hedge_after_min, 3 × EWMA of successful attempt latency)`, or
 //! `deadline / 4` before any data exists — one hedge is launched at the
 //! next replica in the preference order and the first response wins.
-//! The loser's thread finishes on its own, recording its replica's
-//! metrics and returning its connection itself, because the event loop
-//! may already have returned to the caller.
+//! The loser's completion callback still runs on the reactor thread,
+//! recording its replica's metrics, and its connection goes back to the
+//! idle pool, because the event loop may already have returned to the
+//! caller.
 //!
 //! ## Determinism
 //!
@@ -42,11 +45,9 @@
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::metrics::{Metrics, ReplicaMetrics, ReplicaSnapshot};
-use crate::pool::ConnPool;
 use crate::reactor::RpcClient;
 use crate::route::{home, preference_order};
 use partree_service::frame::{ErrorCode, Histogram, Request, Response, WarmEntry};
-use partree_service::net::Transport;
 use partree_service::FamilyId;
 use std::io;
 use std::net::SocketAddr;
@@ -74,18 +75,13 @@ pub struct GatewayConfig {
     pub hedge_after_min: Duration,
     /// Idle connections kept per replica.
     pub pool_cap: usize,
-    /// TCP connect budget per attempt (also the probe io timeout).
+    /// TCP connect budget per attempt (also the whole budget of each
+    /// probe and warm-up call).
     pub connect_timeout: Duration,
     /// Per-replica breaker tunables.
     pub breaker: BreakerConfig,
     /// Health-probe period.
     pub probe_interval: Duration,
-    /// Attempt engine: `Blocking` pins each attempt to its own thread
-    /// and a blocking client; `Reactor` multiplexes every attempt on
-    /// one shared epoll thread. Defaults from `PARTREE_TRANSPORT` so
-    /// one environment variable A/Bs the gateway and the service
-    /// together.
-    pub transport: Transport,
     /// Most codebooks donated to a recovered replica before its
     /// breaker re-closes (fleet warm-up). `0` disables warm-up.
     pub warmup_keys: usize,
@@ -118,7 +114,6 @@ impl GatewayConfig {
             connect_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
             probe_interval: Duration::from_millis(100),
-            transport: Transport::from_env(),
             warmup_keys: 32,
             warm_donors: env_usize("PARTREE_WARM_DONORS", 2),
         }
@@ -130,7 +125,6 @@ impl GatewayConfig {
 struct Replica {
     id: usize,
     addr: SocketAddr,
-    pool: ConnPool,
     breaker: Breaker,
     metrics: ReplicaMetrics,
     /// Last drain bit reported by a probe or inferred from `Busy`-free
@@ -159,14 +153,12 @@ struct Inner {
     stopped: AtomicBool,
     /// Codec requests currently inside [`Gateway::request`].
     inflight: AtomicU64,
-    /// Attempts currently alive (including hedge losers): threads on
-    /// the blocking transport, outstanding reactor calls otherwise.
-    attempt_threads: AtomicU64,
+    /// Reactor calls currently outstanding (hedge losers included).
+    attempts_live: AtomicU64,
     /// Jitter state for backoff.
     jitter_seed: AtomicU64,
-    /// The shared attempt reactor; `Some` iff
-    /// `cfg.transport == Transport::Reactor`.
-    rpc: Option<RpcClient>,
+    /// The reactor every attempt, probe and warm-up call runs on.
+    rpc: RpcClient,
 }
 
 impl Inner {
@@ -208,7 +200,8 @@ impl Inner {
     }
 }
 
-/// What one attempt thread reports back to the event loop.
+/// What one attempt's completion callback reports back to the event
+/// loop.
 struct AttemptReport {
     replica: usize,
     hedge: bool,
@@ -261,20 +254,14 @@ impl Gateway {
             .map(|(id, &addr)| Replica {
                 id,
                 addr,
-                pool: ConnPool::new(addr, cfg.pool_cap, cfg.connect_timeout),
                 breaker: Breaker::new(cfg.breaker),
                 metrics: ReplicaMetrics::default(),
                 draining: AtomicBool::new(false),
             })
             .collect();
-        let rpc = match cfg.transport {
-            Transport::Blocking => None,
-            Transport::Reactor => Some(
-                RpcClient::start(cfg.pool_cap)
-                    // lint: allow(no-unwrap): reactor startup happens once at gateway startup; failure there is resource exhaustion before any request exists
-                    .expect("start rpc reactor"),
-            ),
-        };
+        let rpc = RpcClient::start(cfg.pool_cap)
+            // lint: allow(no-unwrap): reactor startup happens once at gateway startup; failure there is resource exhaustion before any request exists
+            .expect("start rpc reactor");
         let inner = Arc::new(Inner {
             replicas,
             metrics: Metrics::default(),
@@ -282,7 +269,7 @@ impl Gateway {
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
-            attempt_threads: AtomicU64::new(0),
+            attempts_live: AtomicU64::new(0),
             jitter_seed: AtomicU64::new(0x853c_49e6_748f_ea9b),
             rpc,
             cfg,
@@ -468,10 +455,10 @@ impl Gateway {
         self.inner.draining.store(true, Ordering::Relaxed);
     }
 
-    /// Drains, waits for in-flight requests and attempt threads (hedge
-    /// losers included) to finish, stops the prober, and closes every
-    /// pooled connection. Waits at most `deadline + 1s` past the drain
-    /// before giving up on stragglers.
+    /// Drains, waits for in-flight requests and outstanding attempts
+    /// (hedge losers included) to finish, stops the prober, and stops
+    /// the RPC reactor, closing every connection. Waits at most
+    /// `deadline + 1s` past the drain before giving up on stragglers.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -480,7 +467,7 @@ impl Gateway {
         self.drain();
         let give_up = Instant::now() + self.inner.cfg.deadline + Duration::from_secs(1);
         while (self.inner.inflight.load(Ordering::Relaxed) > 0
-            || self.inner.attempt_threads.load(Ordering::Relaxed) > 0)
+            || self.inner.attempts_live.load(Ordering::Relaxed) > 0)
             && Instant::now() < give_up
         {
             thread::sleep(Duration::from_millis(1));
@@ -489,14 +476,9 @@ impl Gateway {
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
-        for r in &self.inner.replicas {
-            r.pool.clear();
-        }
-        if let Some(rpc) = &self.inner.rpc {
-            // Straggler calls complete with a shutdown error via their
-            // drop guards as the reactor unwinds.
-            rpc.shutdown_in_place();
-        }
+        // Straggler calls complete with a shutdown error via their drop
+        // guards as the reactor unwinds.
+        self.inner.rpc.shutdown_in_place();
     }
 
     /// Current counters, breaker states, and latency histograms.
@@ -682,13 +664,10 @@ impl Gateway {
         r
     }
 
-    /// Launches one attempt. On the blocking transport this spawns a
-    /// thread that owns the whole attempt — checkout, request, metrics,
-    /// breaker, check-in — so a hedge loser finishes correctly even
-    /// after the event loop has returned. On the reactor transport the
-    /// attempt is a non-blocking call whose completion callback (run on
-    /// the reactor thread, hedge losers included) does the same
-    /// accounting through [`account_attempt`].
+    /// Launches one attempt: a non-blocking reactor call whose
+    /// completion callback (run on the reactor thread, hedge losers
+    /// included) feeds the breaker and counters through
+    /// [`account_attempt`] and reports to the event loop.
     fn launch(
         &self,
         replica: usize,
@@ -697,50 +676,27 @@ impl Gateway {
         deadline: Instant,
         tx: &mpsc::Sender<AttemptReport>,
     ) {
-        let thread_inner = Arc::clone(&self.inner);
-        let request = Arc::clone(request);
-        let thread_tx = tx.clone();
-        self.inner.attempt_threads.fetch_add(1, Ordering::Relaxed);
-        if let Some(rpc) = &self.inner.rpc {
-            let r = &self.inner.replicas[replica];
-            r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            rpc.call(
-                r.addr,
-                request,
-                deadline,
-                self.inner.cfg.connect_timeout,
-                move |outcome| {
-                    let outcome = account_attempt(&thread_inner, replica, t0, outcome);
-                    let _ = thread_tx.send(AttemptReport {
-                        replica,
-                        hedge,
-                        outcome,
-                    });
-                    thread_inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-                },
-            );
-            return;
-        }
-        let spawned = thread::Builder::new()
-            .name(format!("gateway-attempt-{replica}"))
-            .spawn(move || {
-                let outcome = run_attempt(&thread_inner, replica, &request, deadline);
-                let _ = thread_tx.send(AttemptReport {
+        let inner = Arc::clone(&self.inner);
+        let tx = tx.clone();
+        let r = &self.inner.replicas[replica];
+        self.inner.attempts_live.fetch_add(1, Ordering::Relaxed);
+        r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        self.inner.rpc.call(
+            r.addr,
+            Arc::clone(request),
+            deadline,
+            self.inner.cfg.connect_timeout,
+            move |outcome| {
+                let outcome = account_attempt(&inner, replica, t0, outcome);
+                let _ = tx.send(AttemptReport {
                     replica,
                     hedge,
                     outcome,
                 });
-                thread_inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-            });
-        if let Err(e) = spawned {
-            self.inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-            let _ = tx.send(AttemptReport {
-                replica,
-                hedge,
-                outcome: Err(e),
-            });
-        }
+                inner.attempts_live.fetch_sub(1, Ordering::Relaxed);
+            },
+        );
     }
 }
 
@@ -752,34 +708,9 @@ impl Drop for Gateway {
     }
 }
 
-/// One attempt, end to end, on the calling thread.
-fn run_attempt(
-    inner: &Inner,
-    replica: usize,
-    request: &Request,
-    deadline: Instant,
-) -> io::Result<Response> {
-    let r = &inner.replicas[replica];
-    r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
-    let t0 = Instant::now();
-    let budget = deadline.saturating_duration_since(t0);
-    let result = (|| {
-        let mut conn = r
-            .pool
-            .checkout(Some(budget.max(Duration::from_millis(1))))?;
-        let resp = conn.request(request)?;
-        // Only a cleanly-answered connection is safe to reuse.
-        r.pool.checkin(conn);
-        Ok(resp)
-    })();
-    account_attempt(inner, replica, t0, result)
-}
-
-/// The transport-independent tail of an attempt: feeds the breaker and
-/// the per-replica counters, then hands the outcome back unchanged.
-/// The blocking path runs this on the attempt thread, the reactor path
-/// in the completion callback — identical outcomes produce identical
-/// breaker transitions and metrics either way.
+/// The tail of an attempt, run in its completion callback: feeds the
+/// breaker and the per-replica counters, then hands the outcome back
+/// unchanged.
 fn account_attempt(
     inner: &Inner,
     replica: usize,
@@ -838,22 +769,25 @@ pub fn breaker_counts_as_failure(outcome: &io::Result<Response>) -> bool {
 /// which is how an open breaker learns its replica recovered — one
 /// good ping re-closes it without waiting for half-open data traffic.
 fn prober_loop(inner: &Arc<Inner>) {
-    let io_timeout = Some(inner.cfg.connect_timeout);
     while !inner.stopped.load(Ordering::Relaxed) {
         for r in &inner.replicas {
             if inner.stopped.load(Ordering::Relaxed) {
                 return;
             }
-            let outcome = match &inner.rpc {
-                Some(rpc) => probe_over_rpc(rpc, r.addr, inner.cfg.connect_timeout),
-                None => r.pool.checkout(io_timeout).and_then(|mut conn| {
-                    let draining = conn.ping()?;
-                    r.pool.checkin(conn);
-                    Ok(draining)
-                }),
+            // A replica that closed our idle connections went down
+            // since the last round, even if it is back already: the
+            // round counts as a failed probe, so the next good one
+            // warms it before its breaker re-closes.
+            let pong = if inner.rpc.take_idle_lost(r.addr) {
+                None
+            } else {
+                inner
+                    .rpc
+                    .call_blocking(r.addr, Request::Ping, inner.cfg.connect_timeout)
+                    .ok()
             };
-            match outcome {
-                Ok(draining) => {
+            match pong {
+                Some(Response::Pong { draining }) => {
                     r.metrics.pings_ok.fetch_add(1, Ordering::Relaxed);
                     r.draining.store(draining, Ordering::Relaxed);
                     // A good ping from a replica whose breaker is not
@@ -870,14 +804,12 @@ fn prober_loop(inner: &Arc<Inner>) {
                     }
                     r.breaker.record_success();
                 }
-                Err(_) => {
+                // A transport error, any answer but `Pong`, or a restart.
+                _ => {
                     r.metrics.pings_failed.fetch_add(1, Ordering::Relaxed);
                     r.breaker.record_failure();
                     // Idle connections to a failing replica are suspect.
-                    match &inner.rpc {
-                        Some(rpc) => rpc.purge(r.addr),
-                        None => r.pool.clear(),
-                    }
+                    inner.rpc.purge(r.addr);
                 }
             }
         }
@@ -902,13 +834,12 @@ fn prober_loop(inner: &Arc<Inner>) {
 /// once. Only entries whose rendezvous home is the recovering replica
 /// are pushed (those are exactly the keys that failed over *away*
 /// from it while it was down, and the keys it will serve again the
-/// moment routing resumes). Everything here is best-effort over the
-/// blocking client — the protocol is transport-agnostic, and a failed
-/// donation changes nothing but the number of cold misses the replica
-/// pays later.
+/// moment routing resumes). Every call is a blocking bridge over the
+/// RPC reactor and best-effort: a failed donation changes nothing but
+/// the number of cold misses the replica pays later.
 fn warm_up_replica(inner: &Inner, target: &Replica) {
     let n = inner.replicas.len();
-    let io_timeout = Some(inner.cfg.connect_timeout);
+    let budget = inner.cfg.connect_timeout;
     let max = inner.cfg.warmup_keys;
     let mut entries: Vec<WarmEntry> = Vec::new();
     let mut donors_used = 0usize;
@@ -922,12 +853,16 @@ fn warm_up_replica(inner: &Inner, target: &Replica) {
         {
             continue;
         }
-        let hot = donor.pool.checkout(io_timeout).and_then(|mut conn| {
-            let hot = conn.hot_set(max.min(u16::MAX as usize) as u16)?;
-            donor.pool.checkin(conn);
-            Ok(hot)
-        });
-        let Ok(hot) = hot else { continue };
+        let hot = inner.rpc.call_blocking(
+            donor.addr,
+            Request::HotSet {
+                max: max.min(u16::MAX as usize) as u16,
+            },
+            budget,
+        );
+        let Ok(Response::HotSet { entries: hot }) = hot else {
+            continue;
+        };
         donors_used += 1;
         for e in hot {
             if entries.len() >= max {
@@ -957,48 +892,15 @@ fn warm_up_replica(inner: &Inner, target: &Replica) {
         return;
     }
     let sent = entries.len() as u64;
-    let pushed = target.pool.checkout(io_timeout).and_then(|mut conn| {
-        let counts = conn.warm_up(entries)?;
-        target.pool.checkin(conn);
-        Ok(counts)
-    });
-    if pushed.is_ok() {
+    let pushed = inner
+        .rpc
+        .call_blocking(target.addr, Request::WarmUp { entries }, budget);
+    if let Ok(Response::WarmedUp { .. }) = pushed {
         inner.metrics.warmups.fetch_add(1, Ordering::Relaxed);
         inner
             .metrics
             .warmup_keys_sent
             .fetch_add(sent, Ordering::Relaxed);
-    }
-}
-
-/// One probe over the shared reactor: a `Ping` call bridged back to the
-/// prober thread through a channel. Probes bypass `Breaker::allow` in
-/// this mode too — the reactor dials unconditionally.
-fn probe_over_rpc(rpc: &RpcClient, addr: SocketAddr, budget: Duration) -> io::Result<bool> {
-    let (tx, rx) = mpsc::channel();
-    rpc.call(
-        addr,
-        Arc::new(Request::Ping),
-        Instant::now() + budget,
-        budget,
-        move |outcome| {
-            let _ = tx.send(outcome);
-        },
-    );
-    // The reactor enforces the budget itself (deadline sweep); the
-    // extra slack only covers its tick granularity. The callback's drop
-    // guard guarantees an answer even across reactor shutdown, so a
-    // recv timeout here is strictly a backstop.
-    match rx.recv_timeout(budget + Duration::from_millis(250)) {
-        Ok(Ok(Response::Pong { draining })) => Ok(draining),
-        Ok(Ok(other)) => Err(io::Error::other(format!(
-            "probe expected Pong, got {other:?}"
-        ))),
-        Ok(Err(e)) => Err(e),
-        Err(_) => Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "probe reply never arrived",
-        )),
     }
 }
 
@@ -1009,22 +911,23 @@ mod tests {
     use partree_service::server::{Service, ServiceConfig};
 
     fn fleet(n: usize) -> (Vec<Server>, Vec<SocketAddr>) {
-        fleet_on(n, Transport::Blocking)
-    }
-
-    fn fleet_on(n: usize, transport: Transport) -> (Vec<Server>, Vec<SocketAddr>) {
         let servers: Vec<Server> = (0..n)
-            .map(|_| {
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    transport,
-                )
-                .unwrap()
-            })
+            .map(|_| Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap())
             .collect();
         let addrs = servers.iter().map(|s| s.addr()).collect();
         (servers, addrs)
+    }
+
+    /// Routing, not hedging, is under test: on a loaded host a hedge
+    /// lands the request on a second replica too (an extra success
+    /// there, or a fast `UnknownBase` for a delta that wins the race).
+    /// Both hedge thresholds — `deadline / 4` before any latency data,
+    /// `hedge_after_min` after — are pushed out of reach.
+    fn unhedged_cfg(addrs: Vec<SocketAddr>) -> GatewayConfig {
+        let mut cfg = tiny_cfg(addrs);
+        cfg.deadline = Duration::from_secs(10);
+        cfg.hedge_after_min = cfg.deadline;
+        cfg
     }
 
     fn tiny_cfg(addrs: Vec<SocketAddr>) -> GatewayConfig {
@@ -1068,6 +971,10 @@ mod tests {
         assert_eq!(snap.requests, 40);
         assert_eq!(snap.completed, 40);
         assert_eq!(snap.deadline_exceeded, 0);
+        assert!(
+            snap.replicas.iter().any(|r| r.pings_ok > 0),
+            "rpc prober reached the fleet: {snap:?}"
+        );
 
         direct.shutdown();
         gw.shutdown();
@@ -1079,7 +986,7 @@ mod tests {
     #[test]
     fn same_histogram_routes_to_the_same_replica() {
         let (servers, addrs) = fleet(4);
-        let gw = Gateway::start(tiny_cfg(addrs));
+        let gw = Gateway::start(unhedged_cfg(addrs));
         let payload: Vec<u8> = (0..256).map(|i| (i % 5) as u8).collect();
         let hist = Histogram::of_payload(5, &payload).unwrap();
         for _ in 0..10 {
@@ -1192,86 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_transport_roundtrips_and_matches_blocking() {
-        // Reactor on both sides: the fleet serves over the service
-        // reactor, the gateway attempts over the shared rpc reactor.
-        let (servers, addrs) = fleet_on(3, Transport::Reactor);
-        let mut cfg = tiny_cfg(addrs);
-        cfg.transport = Transport::Reactor;
-        let gw = Gateway::start(cfg);
-        let direct = Service::start(ServiceConfig::default());
-
-        for seed in 0u64..20 {
-            let payload: Vec<u8> = (0..512).map(|i| ((seed * 37 + i) % 6) as u8).collect();
-            let hist = Histogram::of_payload(6, &payload).unwrap();
-            let (bits, data) = gw.encode(&hist, &payload).unwrap();
-            match direct.submit(Request::Encode {
-                family: FamilyId::Huffman,
-                histogram: hist.clone(),
-                payload: payload.clone(),
-            }) {
-                Response::Encoded {
-                    bit_len,
-                    data: d_data,
-                } => assert_eq!(
-                    (bits, &data),
-                    (bit_len, &d_data),
-                    "reactor gateway == direct service"
-                ),
-                other => panic!("direct encode failed: {other:?}"),
-            }
-            assert_eq!(gw.decode(&hist, bits, &data).unwrap(), payload);
-        }
-
-        let snap = gw.snapshot();
-        assert_eq!(snap.requests, 40);
-        assert_eq!(snap.completed, 40);
-        assert_eq!(snap.deadline_exceeded, 0);
-        assert!(
-            snap.replicas.iter().any(|r| r.pings_ok > 0),
-            "rpc prober reached the fleet: {snap:?}"
-        );
-
-        direct.shutdown();
-        gw.shutdown();
-        for s in servers {
-            s.shutdown().unwrap();
-        }
-    }
-
-    #[test]
-    fn reactor_transport_fails_over_around_a_dead_replica() {
-        let (mut servers, addrs) = fleet_on(2, Transport::Reactor);
-        let mut cfg = tiny_cfg(addrs);
-        cfg.probe_interval = Duration::from_secs(30);
-        cfg.breaker.failure_threshold = 2;
-        cfg.transport = Transport::Reactor;
-        let gw = Gateway::start(cfg);
-
-        let mut homed = None;
-        for n in 2u32..40 {
-            let payload: Vec<u8> = (0..128).map(|i| (i % n as usize) as u8).collect();
-            let hist = Histogram::of_payload(n as usize, &payload).unwrap();
-            if preference_order(hist.hash64(), 2)[0] == 0 {
-                homed = Some((hist, payload));
-                break;
-            }
-        }
-        let (hist, payload) = homed.expect("some histogram homes on replica 0");
-        servers.remove(0).shutdown().unwrap();
-
-        let (bits, data) = gw.encode(&hist, &payload).unwrap();
-        assert_eq!(gw.decode(&hist, bits, &data).unwrap(), payload);
-
-        let snap = gw.snapshot();
-        assert!(snap.failovers >= 1, "winner was not the home: {snap:?}");
-        gw.shutdown();
-        for s in servers {
-            s.shutdown().unwrap();
-        }
-    }
-
-    #[test]
     fn recovered_replica_is_warmed_before_rejoining() {
         let (mut servers, addrs) = fleet(2);
         let mut cfg = tiny_cfg(addrs.clone());
@@ -1302,7 +1129,7 @@ mod tests {
 
         // Revive replica 0 on the same address, empty-cached.
         let svc0 = Service::start(ServiceConfig::default());
-        let revived = Server::bind_with(svc0.clone(), &addrs[0].to_string(), Transport::Blocking)
+        let revived = Server::bind(svc0.clone(), &addrs[0].to_string())
             .expect("rebind the killed replica's address");
 
         // The prober notices, warms it from replica 1, then re-closes
@@ -1329,6 +1156,50 @@ mod tests {
         let m0 = svc0.metrics();
         assert!(m0.encoded >= 1, "home never rejoined routing: {m0:?}");
         assert_eq!(m0.constructions, 0, "warm cache: no construction: {m0:?}");
+
+        gw.shutdown();
+        revived.shutdown().unwrap();
+        for s in servers {
+            s.shutdown().unwrap();
+        }
+    }
+
+    #[test]
+    fn replica_restarted_between_probes_is_noticed() {
+        let (mut servers, addrs) = fleet(2);
+        let mut cfg = tiny_cfg(addrs.clone());
+        cfg.breaker.failure_threshold = 1;
+        cfg.breaker.open_cooldown = Duration::from_millis(50);
+        let gw = Gateway::start(cfg);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gw.snapshot().replicas[0].pings_ok == 0 {
+            assert!(Instant::now() < deadline, "prober never reached replica 0");
+            thread::sleep(Duration::from_millis(5));
+        }
+
+        // Kill replica 0 and bring it back on the same address before
+        // the next probe can find the port closed: only the closed
+        // idle probe connection tells the prober it restarted.
+        servers.remove(0).shutdown().unwrap();
+        let revived = Server::bind(
+            Service::start(ServiceConfig::default()),
+            &addrs[0].to_string(),
+        )
+        .expect("rebind the killed replica's address");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gw.snapshot().replicas[0].breaker_opened == 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        let snap = gw.snapshot();
+        assert!(snap.replicas[0].pings_failed >= 1, "{snap:?}");
+        assert!(snap.replicas[0].breaker_opened >= 1, "{snap:?}");
+        // The next good probe re-admits it.
+        while gw.snapshot().replicas[0].breaker != BreakerState::Closed && Instant::now() < deadline
+        {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(gw.snapshot().replicas[0].breaker, BreakerState::Closed);
 
         gw.shutdown();
         revived.shutdown().unwrap();
@@ -1383,7 +1254,7 @@ mod tests {
     #[test]
     fn delta_requests_follow_the_base_key_to_the_hot_replica() {
         let (servers, addrs) = fleet(4);
-        let gw = Gateway::start(tiny_cfg(addrs));
+        let gw = Gateway::start(unhedged_cfg(addrs));
         let direct = Service::start(ServiceConfig::default());
 
         // Seed a well-separated base through the gateway, then drift
@@ -1473,7 +1344,7 @@ mod tests {
         }
 
         let svc0 = Service::start(ServiceConfig::default());
-        let revived = Server::bind_with(svc0.clone(), &addrs[0].to_string(), Transport::Blocking)
+        let revived = Server::bind(svc0.clone(), &addrs[0].to_string())
             .expect("rebind the killed replica's address");
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline && svc0.metrics().warmup_accepted < 2 {

@@ -11,19 +11,16 @@
 //!   weight table always lands on the same *home* replica, so each
 //!   replica's codebook cache stays hot for its slice of key space,
 //!   and losing a replica moves only that replica's keys.
-//! * [`pool`] — per-replica connection pools for the blocking client,
-//!   with the discard-on-error rule (an errored connection may be
-//!   mid-frame and is never reused).
 //! * [`breaker`] — a closed/open/half-open circuit breaker per replica,
 //!   fed by data traffic *and* by a background `Ping` prober. Only
 //!   liveness failures trip it; `Busy`/`Timeout` backpressure does not.
 //! * [`gateway`] — the event loop: per-request deadline budget, bounded
 //!   retries with jittered exponential backoff, and one hedged attempt
 //!   after an adaptive latency threshold, first response wins.
-//!   Attempts run on per-attempt threads (blocking transport) or are
-//!   multiplexed on one shared epoll reactor
-//!   ([`partree_service::net::Transport`] selects, default from
-//!   `PARTREE_TRANSPORT`).
+//! * `reactor` — the RPC engine every attempt, probe and warm-up call
+//!   runs on: one epoll thread multiplexing all replica connections,
+//!   with per-replica idle pools and the discard-on-error rule (an
+//!   errored connection may be mid-frame and is never reused).
 //! * [`metrics`] — per-replica latency histograms and router counters,
 //!   declared through the same `partree_exec::counters!` registry as the
 //!   service's.
@@ -57,7 +54,6 @@ pub mod gateway;
 pub mod metrics;
 #[cfg(partree_model)]
 pub mod model;
-pub mod pool;
 mod reactor;
 pub mod route;
 mod sync;
@@ -65,4 +61,3 @@ mod sync;
 pub use breaker::{Breaker, BreakerConfig, BreakerState};
 pub use gateway::{Gateway, GatewayConfig};
 pub use metrics::{GatewaySnapshot, ReplicaSnapshot};
-pub use pool::ConnPool;

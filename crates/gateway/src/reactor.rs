@@ -1,33 +1,33 @@
-//! The gateway's reactor RPC engine: every replica connection
-//! multiplexed on one epoll thread.
+//! The gateway's RPC engine: every replica connection multiplexed on
+//! one epoll thread.
 //!
-//! The blocking attempt path spawns a thread per attempt and parks it
-//! in a blocking [`partree_service::client::Client`] call. This module
-//! is the drop-in alternative: [`RpcClient::call`] hands the attempt
-//! to a single reactor thread that owns all sockets — non-blocking
-//! connects (`SO_ERROR` read once the socket polls writable),
-//! incremental frame decoding over partial reads, per-address idle
-//! pools, and a deadline sweep that turns stuck connects or replies
-//! into `TimedOut` errors.
+//! [`RpcClient::call`] hands a request to a single reactor thread that
+//! owns all sockets — non-blocking connects (`SO_ERROR` read once the
+//! socket polls writable), incremental frame decoding over partial
+//! reads, per-address idle pools capped at `pool_cap`, and a deadline
+//! sweep that turns stuck connects or replies into `TimedOut` errors.
+//! Data attempts use the callback form; the prober's health probes and
+//! warm-up transfers use [`RpcClient::call_blocking`], a channel bridge
+//! over the same call, so the gateway holds no blocking connections.
 //!
-//! Semantics are kept deliberately identical to the blocking client:
+//! Each connection follows the blocking client's rules:
 //!
 //! * one outstanding request per connection — a connection is returned
 //!   to its idle pool only after a complete, id-matched response, and
 //!   discarded on **any** error (a mid-frame stream can never be
 //!   reused);
 //! * response ids must echo request ids, and undecodable responses
-//!   surface as `InvalidData`, byte-for-byte the same classification
-//!   the blocking path produces;
+//!   surface as `InvalidData`, the same classification the blocking
+//!   [`partree_service::client::Client`] makes;
 //! * every submitted call gets **exactly one** callback invocation,
 //!   enforced by a drop guard: calls still queued or in flight when
 //!   the client shuts down complete with an error instead of
-//!   vanishing (the gateway's `attempt_threads` accounting depends on
+//!   vanishing (the gateway's `attempts_live` accounting depends on
 //!   this).
 //!
 //! Submission reuses the model-checked
 //! [`partree_service::waker::CompletionQueue`] handshake in the
-//! opposite direction: attempt threads are the producers, the reactor
+//! opposite direction: request threads are the producers, the reactor
 //! is the sleeping consumer, and at most one `eventfd` write is paid
 //! per reactor sleep.
 
@@ -35,11 +35,11 @@ use partree_service::frame::{
     decode_response, encode_request, FrameDecoder, RawFrame, Request, Response,
 };
 use partree_service::waker::CompletionQueue;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 const WAKER: mio::Token = mio::Token(0);
@@ -96,8 +96,8 @@ struct Call {
 /// Messages from gateway threads to the reactor.
 enum Msg {
     Call(Call),
-    /// Close every idle connection to `addr` (the prober's equivalent
-    /// of the blocking pool's clear-on-failed-ping).
+    /// Close every idle connection to `addr` (the prober does this
+    /// when a replica fails its ping).
     Purge(SocketAddr),
 }
 
@@ -105,6 +105,9 @@ struct Shared {
     submits: CompletionQueue<Msg>,
     waker: mio::Waker,
     stop: AtomicBool,
+    /// Addresses whose peer closed an idle connection since the last
+    /// [`RpcClient::take_idle_lost`] for that address.
+    idle_lost: Mutex<HashSet<SocketAddr>>,
 }
 
 /// Handle to the reactor thread; the gateway owns exactly one.
@@ -121,7 +124,7 @@ impl std::fmt::Debug for RpcClient {
 
 impl RpcClient {
     /// Starts the reactor thread. `pool_cap` bounds idle connections
-    /// kept per replica address, mirroring the blocking pool.
+    /// kept per replica address.
     pub(crate) fn start(pool_cap: usize) -> io::Result<RpcClient> {
         let poll = mio::Poll::new()?;
         let waker = mio::Waker::new(&poll, WAKER)?;
@@ -129,6 +132,7 @@ impl RpcClient {
             submits: CompletionQueue::new(),
             waker,
             stop: AtomicBool::new(false),
+            idle_lost: Mutex::new(HashSet::new()),
         });
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -169,6 +173,49 @@ impl RpcClient {
             connect_timeout,
             done: CallSink::new(done),
         }));
+    }
+
+    /// Sends `request` to `addr` and blocks the calling thread until the
+    /// outcome arrives. `budget` bounds the connect and the whole call
+    /// (the reactor's deadline sweep enforces it); a `TimedOut` error
+    /// past `budget` plus a short slack for the sweep's tick is only a
+    /// backstop, because the call's drop guard answers even across
+    /// shutdown.
+    pub(crate) fn call_blocking(
+        &self,
+        addr: SocketAddr,
+        request: Request,
+        budget: Duration,
+    ) -> io::Result<Response> {
+        let (tx, rx) = mpsc::channel();
+        self.call(
+            addr,
+            Arc::new(request),
+            Instant::now() + budget,
+            budget,
+            move |outcome| {
+                let _ = tx.send(outcome);
+            },
+        );
+        rx.recv_timeout(budget + 5 * TICK).unwrap_or_else(|_| {
+            Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "rpc reply never arrived",
+            ))
+        })
+    }
+
+    /// Whether the peer at `addr` closed one of its idle connections
+    /// since the last call for `addr`. A replica closes idle
+    /// connections only when it shuts down, so this is how the prober
+    /// learns that a replica went away between two probes even when it
+    /// is already back on the same address.
+    pub(crate) fn take_idle_lost(&self, addr: SocketAddr) -> bool {
+        self.shared
+            .idle_lost
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&addr)
     }
 
     /// Drops every idle connection to `addr`.
@@ -385,8 +432,15 @@ impl Loop {
             }
             State::Idle => {
                 // Any readiness on an idle connection means the peer
-                // closed it (or broke protocol): drop it quietly. The
-                // idle-list entry goes stale and is skipped on pop.
+                // closed it (or broke protocol): drop it and note the
+                // address for the prober. The idle-list entry goes
+                // stale and is skipped on pop.
+                let addr = conn.addr;
+                self.shared
+                    .idle_lost
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(addr);
                 self.close(slot, freed);
             }
         }
@@ -589,4 +643,190 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
         conn.written = 0;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use partree_service::frame::{encode_response, read_frame, write_frame};
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicU64;
+
+    /// A stand-in replica that answers every frame with `Pong` after
+    /// `delay_ms`, counting the connections it accepted and the ones
+    /// the client closed — the two numbers pool reuse and the idle cap
+    /// show up in.
+    struct FakeReplica {
+        addr: SocketAddr,
+        accepted: Arc<AtomicU64>,
+        closed: Arc<AtomicU64>,
+        delay_ms: Arc<AtomicU64>,
+    }
+
+    impl FakeReplica {
+        fn start(delay_ms: u64) -> FakeReplica {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let accepted = Arc::new(AtomicU64::new(0));
+            let closed = Arc::new(AtomicU64::new(0));
+            let delay_ms = Arc::new(AtomicU64::new(delay_ms));
+            let (a, c, d) = (
+                Arc::clone(&accepted),
+                Arc::clone(&closed),
+                Arc::clone(&delay_ms),
+            );
+            // Detached: the listener thread and its connection threads
+            // die with the test process.
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(mut stream) = stream else { return };
+                    a.fetch_add(1, Ordering::SeqCst);
+                    let (c, d) = (Arc::clone(&c), Arc::clone(&d));
+                    std::thread::spawn(move || {
+                        while let Ok(Some(raw)) = read_frame(&mut stream) {
+                            std::thread::sleep(Duration::from_millis(d.load(Ordering::SeqCst)));
+                            let pong = encode_response(raw.id, &Response::Pong { draining: false });
+                            if write_frame(&mut stream, &pong).is_err() {
+                                break;
+                            }
+                        }
+                        c.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            FakeReplica {
+                addr,
+                accepted,
+                closed,
+                delay_ms,
+            }
+        }
+
+        fn counts(&self) -> (u64, u64) {
+            (
+                self.accepted.load(Ordering::SeqCst),
+                self.closed.load(Ordering::SeqCst),
+            )
+        }
+
+        /// Polls until the counts reach `want` (connection closes land
+        /// asynchronously), failing after five seconds.
+        fn await_counts(&self, want: (u64, u64)) {
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while self.counts() != want && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(self.counts(), want, "(accepted, closed)");
+        }
+    }
+
+    fn ping(rpc: &RpcClient, addr: SocketAddr) -> io::Result<Response> {
+        rpc.call_blocking(addr, Request::Ping, Duration::from_secs(2))
+    }
+
+    #[test]
+    fn idle_connections_are_reused_and_capped_per_address() {
+        const POOL_CAP: usize = 2;
+        let replica = FakeReplica::start(100);
+        let rpc = RpcClient::start(POOL_CAP).unwrap();
+
+        // Four calls outstanding at once need four connections (one
+        // request per connection). When they finish, POOL_CAP go idle
+        // and the rest are closed.
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            let tx = tx.clone();
+            rpc.call(
+                replica.addr,
+                Arc::new(Request::Ping),
+                Instant::now() + Duration::from_secs(2),
+                Duration::from_secs(2),
+                move |outcome| {
+                    let _ = tx.send(outcome);
+                },
+            );
+        }
+        for _ in 0..4 {
+            let outcome = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(outcome.unwrap(), Response::Pong { draining: false });
+        }
+        replica.await_counts((4, 4 - POOL_CAP as u64));
+
+        // Sequential calls ride the idle connections: no new dials.
+        replica.delay_ms.store(0, Ordering::SeqCst);
+        for _ in 0..5 {
+            assert_eq!(
+                ping(&rpc, replica.addr).unwrap(),
+                Response::Pong { draining: false }
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(replica.counts(), (4, 4 - POOL_CAP as u64), "reused");
+
+        // A purge closes exactly the idle ones.
+        rpc.purge(replica.addr);
+        replica.await_counts((4, 4));
+        rpc.shutdown_in_place();
+    }
+
+    #[test]
+    fn peer_closing_an_idle_connection_is_reported_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answer one ping, then close the connection, as a replica
+        // shutting down does to every connection it holds.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let raw = read_frame(&mut stream).unwrap().unwrap();
+            let pong = encode_response(raw.id, &Response::Pong { draining: false });
+            write_frame(&mut stream, &pong).unwrap();
+        });
+        let rpc = RpcClient::start(2).unwrap();
+        assert_eq!(
+            ping(&rpc, addr).unwrap(),
+            Response::Pong { draining: false }
+        );
+        peer.join().unwrap();
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !rpc.take_idle_lost(addr) {
+            assert!(Instant::now() < give_up, "idle close never reported");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!rpc.take_idle_lost(addr), "reported once per close");
+        rpc.shutdown_in_place();
+    }
+
+    #[test]
+    fn call_to_a_dead_replica_fails_within_the_connect_timeout() {
+        let connect_timeout = Duration::from_millis(300);
+        let addr = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap()
+        }; // dropped: nothing listens there any more
+        let rpc = RpcClient::start(2).unwrap();
+        let t0 = Instant::now();
+        assert!(rpc
+            .call_blocking(addr, Request::Ping, connect_timeout)
+            .is_err());
+        assert!(
+            t0.elapsed() < connect_timeout,
+            "refused connect took {:?}",
+            t0.elapsed()
+        );
+
+        // A replica that accepts but never answers is cut off by the
+        // deadline sweep, not left hanging.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let t0 = Instant::now();
+        let err = rpc
+            .call_blocking(silent.local_addr().unwrap(), Request::Ping, connect_timeout)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            t0.elapsed() < connect_timeout + 5 * TICK,
+            "silent replica held the call for {:?}",
+            t0.elapsed()
+        );
+        rpc.shutdown_in_place();
+    }
 }

@@ -5,15 +5,10 @@
 //! echo on every response, so a desynchronized stream surfaces as an
 //! error instead of a misattributed payload.
 //!
-//! ## Timeouts
-//!
-//! [`Client::connect_with`] bounds both the TCP connect and every
-//! subsequent read/write, so a dead or wedged replica surfaces as an
-//! `io::Error` instead of blocking the caller forever — the property
-//! `partree-gateway` builds its failover on. A timed-out read leaves
-//! the stream mid-frame, so after **any** error from [`Client::request`]
-//! the connection must be discarded, never reused: the next response on
-//! it could belong to the previous request.
+//! This is the test and tool client: reads block without a timeout.
+//! After **any** error from [`Client::request`] the stream may be
+//! mid-frame, so the connection must be discarded, never reused: the
+//! next response on it could belong to the previous request.
 
 use crate::frame::{
     decode_response, encode_request, read_frame, write_frame, Histogram, Request, Response,
@@ -22,7 +17,6 @@ use crate::frame::{
 use partree_codecs::FamilyId;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 /// A synchronous connection to a [`crate::net::Server`].
 #[derive(Debug)]
@@ -41,29 +35,6 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client { stream, next_id: 0 })
-    }
-
-    /// Connects to `addr`, giving up after `connect_timeout`, and bounds
-    /// every subsequent read and write by `io_timeout` (`None` = block
-    /// indefinitely). See the module docs for the discard-on-error rule.
-    pub fn connect_with(
-        addr: SocketAddr,
-        connect_timeout: Duration,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<Client> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
-        Ok(Client { stream, next_id: 0 })
-    }
-
-    /// Rebounds the read/write timeout on the live connection (`None` =
-    /// block indefinitely). Routers use this to spend a per-request
-    /// deadline budget rather than a fixed socket timeout.
-    pub fn set_io_timeout(&self, io_timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(io_timeout)?;
-        self.stream.set_write_timeout(io_timeout)
     }
 
     /// Sends one request and blocks for its response.

@@ -1088,8 +1088,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<RawFrame>> {
 /// parser's, and no input — adversarial headers included — panics.
 /// After the first error the decoder is poisoned: the stream may be
 /// mid-garbage, so every later [`FrameDecoder::advance`] fails too and
-/// the connection must be closed, mirroring the blocking transport
-/// dropping a connection whose `read_frame` errored.
+/// the connection must be closed, just as a blocking reader drops a
+/// connection whose `read_frame` errored.
 #[derive(Debug)]
 pub struct FrameDecoder {
     header: [u8; HEADER_LEN],

@@ -32,9 +32,8 @@
 //! * [`server`] — [`server::Service`]: bounded queue, batch workers on
 //!   a [`rayon`] pool, `Busy` backpressure, per-request deadlines,
 //!   graceful shutdown;
-//! * [`net`] — [`net::Server`]: the loopback TCP front end, with a
-//!   [`net::Transport`] switch between a blocking thread-per-connection
-//!   engine and a single-threaded epoll reactor;
+//! * [`net`] — [`net::Server`]: the loopback TCP front end, served by
+//!   one epoll reactor thread for every connection;
 //! * [`client`] — [`client::Client`]: a blocking loopback client;
 //! * [`waker`] — the reactor's cross-thread wakeup handshake
 //!   ([`waker::CompletionQueue`]), model-checked under
@@ -95,7 +94,7 @@ pub use client::Client;
 pub use codebook::{Codebook, CodebookCache, HotEntry};
 pub use frame::{ErrorCode, FrameError, Histogram, Request, Response, WarmEntry};
 pub use metrics::MetricsSnapshot;
-pub use net::{FaultInjection, Server, Transport};
+pub use net::{FaultInjection, Server};
 pub use partree_codecs::{FamilyId, FAMILY_COUNT};
 pub use partree_delta::{DeltaConfig, DeltaPath};
 pub use reactor::WriteOverflow;

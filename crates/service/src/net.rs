@@ -1,40 +1,22 @@
 //! Loopback TCP front end: one [`Server`] owns a listener and serves
-//! frames against a [`Service`], over one of two [`Transport`]s.
+//! frames against a [`Service`] from a single epoll reactor thread
+//! ([`crate::reactor`]). The reactor owns every socket, decodes frames
+//! incrementally over partial reads, and feeds codec requests to the
+//! service's bounded queue via [`Service::submit_async`], so thousands
+//! of connections cost one thread. The transport only moves bytes;
+//! batching, caching, and shedding all live behind the queue.
 //!
-//! * [`Transport::Blocking`] — one thread per connection, blocking
-//!   reads, frames translated to [`Service::submit`] calls.
-//!   Connections are synchronous (one outstanding request per
-//!   connection), so client-side concurrency comes from opening
-//!   several connections.
-//! * [`Transport::Reactor`] — a single epoll thread owning every
-//!   socket ([`crate::reactor`]): incremental frame decoding over
-//!   partial reads, requests fed to the same bounded queue via
-//!   [`Service::submit_async`]. Same wire behavior, thousands of
-//!   connections per thread instead of one.
-//!
-//! Both transports share the listener-side API ([`Server::bind`],
-//! [`Server::faults`], [`Server::shutdown`]) and produce bit-identical
-//! responses — the transport only moves bytes; batching, caching, and
-//! shedding all live behind the queue.
-//!
-//! Shutdown is cooperative and complete: blocking-mode sockets carry a
-//! short read timeout so connection threads notice the stop flag
-//! between frames, the accept loop is unblocked by a self-connection,
-//! and [`Server::shutdown`] joins every thread it ever spawned before
-//! returning — no leaked threads, asserted by the `service-smoke` CI
-//! step. The reactor is a single thread woken by its eventfd waker and
-//! joined the same way.
+//! Shutdown is cooperative and complete: [`Server::shutdown`] wakes the
+//! reactor out of `epoll_wait` through its eventfd waker, joins the
+//! thread, and closes every connection before returning — no leaked
+//! threads, asserted by the `service-smoke` CI step.
 
-use crate::frame::{decode_request, encode_response, read_frame, write_frame, Request, Response};
 use crate::server::Service;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// How often blocked reads wake to poll the stop flag.
-const POLL: Duration = Duration::from_millis(100);
 
 /// Fault-injection knobs for failover testing: a server can be told to
 /// sever connections or delay replies, which is how the gateway's
@@ -99,47 +81,12 @@ impl FaultInjection {
     }
 }
 
-/// Which connection engine a [`Server`] runs. The wire protocol and
-/// every response byte are identical across engines; only the
-/// threading model differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One thread per connection, blocking reads (the default).
-    #[default]
-    Blocking,
-    /// One epoll reactor thread owning every socket.
-    Reactor,
-}
-
-impl Transport {
-    /// Reads `PARTREE_TRANSPORT`: `"reactor"` (case-insensitive)
-    /// selects [`Transport::Reactor`]; anything else, or unset, the
-    /// blocking engine. Lets multi-process experiments A/B transports
-    /// without code changes.
-    pub fn from_env() -> Transport {
-        match std::env::var("PARTREE_TRANSPORT") {
-            Ok(v) if v.eq_ignore_ascii_case("reactor") => Transport::Reactor,
-            _ => Transport::Blocking,
-        }
-    }
-}
-
 /// A listening codec server bound to a loopback port.
 pub struct Server {
     service: Service,
     addr: SocketAddr,
     faults: Arc<FaultInjection>,
-    engine: Engine,
-}
-
-/// The transport-specific innards behind a [`Server`].
-enum Engine {
-    Blocking {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    },
-    Reactor(crate::reactor::ReactorHandle),
+    reactor: crate::reactor::ReactorHandle,
 }
 
 impl std::fmt::Debug for Server {
@@ -150,50 +97,17 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds `addr` (use `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts accepting connections against `service`, on the
-    /// transport selected by `PARTREE_TRANSPORT` (default blocking).
+    /// starts the reactor thread serving connections against `service`.
     pub fn bind(service: Service, addr: &str) -> io::Result<Server> {
-        Server::bind_with(service, addr, Transport::from_env())
-    }
-
-    /// [`Server::bind`] with an explicit transport choice.
-    pub fn bind_with(service: Service, addr: &str, transport: Transport) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let faults = Arc::new(FaultInjection::from_env());
-        let engine = match transport {
-            Transport::Blocking => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let accept_thread = {
-                    let service = service.clone();
-                    let stop = Arc::clone(&stop);
-                    let conns = Arc::clone(&conns);
-                    let faults = Arc::clone(&faults);
-                    std::thread::Builder::new()
-                        .name("partree-accept".into())
-                        .spawn(move || accept_loop(&listener, &service, &stop, &conns, &faults))
-                        // lint: allow(no-unwrap): accept-thread spawn happens once at server startup, before any connection exists
-                        .expect("spawning the accept thread cannot fail")
-                };
-                Engine::Blocking {
-                    stop,
-                    accept_thread: Some(accept_thread),
-                    conns,
-                }
-            }
-            Transport::Reactor => Engine::Reactor(crate::reactor::spawn(
-                service.clone(),
-                listener,
-                Arc::clone(&faults),
-            )?),
-        };
+        let reactor = crate::reactor::spawn(service.clone(), listener, Arc::clone(&faults))?;
         Ok(Server {
             service,
             addr,
             faults,
-            engine,
+            reactor,
         })
     }
 
@@ -212,190 +126,12 @@ impl Server {
         &self.service
     }
 
-    /// Stops accepting, drains connections, joins every transport
+    /// Stops accepting, closes every connection, joins the reactor
     /// thread, and shuts the service down. Returns the number of
     /// queued jobs the service dropped.
     pub fn shutdown(self) -> io::Result<usize> {
-        match self.engine {
-            Engine::Blocking {
-                stop,
-                mut accept_thread,
-                conns,
-            } => {
-                stop.store(true, Ordering::Release);
-                // Unblock `accept` with a throwaway self-connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(h) = accept_thread.take() {
-                    h.join()
-                        .map_err(|_| io::Error::other("accept thread panicked"))?;
-                }
-                let handles: Vec<_> = {
-                    // lint: allow(no-unwrap): a poisoned connection registry means a panic mid-insert; shutdown could strand sockets, so crash loudly instead
-                    let mut reg = conns.lock().expect("connection registry poisoned");
-                    reg.drain(..).collect()
-                };
-                for h in handles {
-                    h.join()
-                        .map_err(|_| io::Error::other("connection thread panicked"))?;
-                }
-            }
-            Engine::Reactor(handle) => handle.shutdown()?,
-        }
+        self.reactor.shutdown()?;
         Ok(self.service.shutdown())
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Service,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    faults: &Arc<FaultInjection>,
-) {
-    let mut next = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                // Persistent failures (e.g. EMFILE under fd exhaustion)
-                // must not turn this loop into a hot spin.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if stop.load(Ordering::Acquire) {
-            break; // the shutdown self-connection
-        }
-        let service = service.clone();
-        let stop_flag = Arc::clone(stop);
-        let faults = Arc::clone(faults);
-        let conn_seed = next.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let handle = std::thread::Builder::new()
-            .name(format!("partree-conn-{next}"))
-            .spawn(move || {
-                let _ = serve_connection(&stream, &service, &stop_flag, &faults, conn_seed);
-            })
-            // lint: allow(no-unwrap): per-connection spawn failure is resource exhaustion; the acceptor cannot answer in-protocol and dying is visible
-            .expect("spawning a connection thread cannot fail");
-        next += 1;
-        conns
-            .lock()
-            // lint: allow(no-unwrap): poisoned connection registry, as above
-            .expect("connection registry poisoned")
-            .push(handle);
-    }
-}
-
-/// Reader that retries timed-out socket reads until the stop flag is
-/// raised, turning a blocked `read_frame` into a clean shutdown path.
-struct StoppableReader<'a> {
-    stream: &'a TcpStream,
-    stop: &'a AtomicBool,
-}
-
-impl Read for StoppableReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::Acquire) {
-                        // Not `Interrupted`: `Read::read_exact` retries
-                        // that kind forever, which would wedge a thread
-                        // blocked mid-frame and hang `Server::shutdown`.
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "server shutting down",
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-fn serve_connection(
-    stream: &TcpStream,
-    service: &Service,
-    stop: &AtomicBool,
-    faults: &FaultInjection,
-    mut rng: u64,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL))?;
-    stream.set_nodelay(true)?;
-    let mut reader = StoppableReader { stream, stop };
-    let mut writer = stream;
-    loop {
-        // Checked at every frame boundary, not just on idle-read
-        // timeouts: a peer that keeps frames coming (a router's health
-        // prober, a tight request loop) would otherwise never leave a
-        // quiet window for the timeout path to notice the flag, and
-        // `Server::shutdown` would block on this thread for as long as
-        // the peer keeps talking. Severing mid-stream is the intended
-        // shutdown signal — the peer sees a transport error and fails
-        // over.
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let raw = match read_frame(&mut reader)? {
-            Some(raw) => raw,
-            None => return Ok(()), // clean EOF between frames
-        };
-        let response = match decode_request(raw.opcode, &raw.body) {
-            Ok(Request::Stats) => Response::Stats {
-                json: service.stats_json(),
-            },
-            // Control requests bypass both the queue and the fault
-            // knobs: a saturated or faulty replica still answers its
-            // health probes truthfully.
-            Ok(Request::Ping) => Response::Pong {
-                draining: service.is_draining(),
-            },
-            Ok(Request::Drain) => {
-                service.drain();
-                Response::DrainOk
-            }
-            // Warm-up is control-plane too: `submit` answers these
-            // inline (no queue wait), and a replica being refilled
-            // after a restart should not lose donated codebooks to
-            // injected faults.
-            Ok(request @ (Request::WarmUp { .. } | Request::HotSet { .. })) => {
-                service.submit(request)
-            }
-            Ok(request) => {
-                if faults.should_drop(&mut rng) {
-                    // Sever without a reply: the peer observes a
-                    // transport error mid-request.
-                    return Ok(());
-                }
-                let delay = faults.delay();
-                if !delay.is_zero() {
-                    interruptible_sleep(delay, stop);
-                    if stop.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                }
-                service.submit(request)
-            }
-            Err(e) => Response::from(e),
-        };
-        write_frame(&mut writer, &encode_response(raw.id, &response))?;
-    }
-}
-
-/// Sleeps in short slices so an injected delay cannot outlive a
-/// shutdown request by more than one poll interval.
-fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
-    let mut left = total;
-    while !left.is_zero() && !stop.load(Ordering::Acquire) {
-        let slice = left.min(POLL);
-        std::thread::sleep(slice);
-        left -= slice;
     }
 }
 
@@ -403,79 +139,53 @@ fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::frame::Histogram;
+    use crate::frame::{read_frame, Histogram, Request, Response};
     use crate::server::ServiceConfig;
+    use std::net::TcpStream;
 
-    const BOTH: [Transport; 2] = [Transport::Blocking, Transport::Reactor];
-
-    fn bind_on(transport: Transport) -> Server {
-        Server::bind_with(
-            Service::start(ServiceConfig::default()),
-            "127.0.0.1:0",
-            transport,
-        )
-        .unwrap()
+    fn bind() -> Server {
+        Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap()
     }
 
     #[test]
     fn tcp_roundtrip_and_clean_shutdown() {
-        for transport in BOTH {
-            let server = bind_on(transport);
-            let mut client = Client::connect(server.addr()).unwrap();
-            let hist = Histogram::new(vec![7, 3, 1, 1]).unwrap();
-            let payload = vec![0u8, 1, 2, 3, 0, 0, 1];
-            let (bit_len, data) = client.encode(&hist, &payload).unwrap();
-            let back = client.decode(&hist, bit_len, &data).unwrap();
-            assert_eq!(back, payload, "{transport:?}");
-            let stats = client.stats().unwrap();
-            assert_eq!(stats.encoded, 1, "{transport:?}");
-            assert_eq!(stats.decoded, 1, "{transport:?}");
-            drop(client);
-            assert_eq!(server.shutdown().unwrap(), 0, "{transport:?}");
-        }
-    }
-
-    #[test]
-    fn transport_selection_reads_the_environment() {
-        let saved = std::env::var("PARTREE_TRANSPORT").ok();
-        std::env::set_var("PARTREE_TRANSPORT", "REACTOR");
-        assert_eq!(Transport::from_env(), Transport::Reactor);
-        std::env::set_var("PARTREE_TRANSPORT", "nonsense");
-        assert_eq!(Transport::from_env(), Transport::Blocking);
-        std::env::remove_var("PARTREE_TRANSPORT");
-        assert_eq!(Transport::from_env(), Transport::Blocking);
-        if let Some(v) = saved {
-            std::env::set_var("PARTREE_TRANSPORT", v);
-        }
+        let server = bind();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let hist = Histogram::new(vec![7, 3, 1, 1]).unwrap();
+        let payload = vec![0u8, 1, 2, 3, 0, 0, 1];
+        let (bit_len, data) = client.encode(&hist, &payload).unwrap();
+        let back = client.decode(&hist, bit_len, &data).unwrap();
+        assert_eq!(back, payload);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.encoded, 1);
+        assert_eq!(stats.decoded, 1);
+        drop(client);
+        assert_eq!(server.shutdown().unwrap(), 0);
     }
 
     #[test]
     fn shutdown_completes_under_continuous_traffic() {
         // A peer that never stops sending (here: a tight ping loop,
         // like a router's health prober) must not be able to hold
-        // `Server::shutdown` hostage — connection threads check the
-        // stop flag at every frame boundary, not only on idle reads.
-        for transport in BOTH {
-            let server = bind_on(transport);
-            let addr = server.addr();
-            let pinger = std::thread::spawn(move || {
-                let mut client = crate::client::Client::connect(addr).unwrap();
-                // Ping until the server severs the connection.
-                while client.ping().is_ok() {}
-            });
-            // Let the ping loop get going.
-            std::thread::sleep(Duration::from_millis(100));
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(server.shutdown());
-            });
-            rx.recv_timeout(Duration::from_secs(5))
-                .unwrap_or_else(|_| {
-                    panic!("{transport:?} shutdown hung on a continuously-talking connection")
-                })
-                .unwrap();
-            pinger.join().unwrap();
-        }
+        // `Server::shutdown` hostage: the reactor checks its stop flag
+        // every loop iteration, however busy its sockets are.
+        let server = bind();
+        let addr = server.addr();
+        let pinger = std::thread::spawn(move || {
+            let mut client = crate::client::Client::connect(addr).unwrap();
+            // Ping until the server severs the connection.
+            while client.ping().is_ok() {}
+        });
+        // Let the ping loop get going.
+        std::thread::sleep(Duration::from_millis(100));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.shutdown());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown hung on a continuously-talking connection"))
+            .unwrap();
+        pinger.join().unwrap();
     }
 
     #[test]
@@ -483,59 +193,51 @@ mod tests {
         use crate::frame::{encode_frame, Opcode, HEADER_LEN};
         use std::io::Write;
 
-        for transport in BOTH {
-            let server = bind_on(transport);
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            // Send a header promising a 16-byte body but only 4 body
-            // bytes: the blocking transport parks a thread inside
-            // read_frame's body read; the reactor just holds decoder
-            // state. Both must shut down promptly regardless.
-            let wire = encode_frame(1, Opcode::Encode, &[0u8; 16]);
-            stream.write_all(&wire[..HEADER_LEN + 4]).unwrap();
-            stream.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(150));
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(server.shutdown());
-            });
-            rx.recv_timeout(Duration::from_secs(5))
-                .unwrap_or_else(|_| panic!("{transport:?} shutdown hung on a mid-frame connection"))
-                .unwrap();
-        }
+        let server = bind();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // Send a header promising a 16-byte body but only 4 body bytes:
+        // the reactor holds the partial frame in decoder state and must
+        // still shut down promptly.
+        let wire = encode_frame(1, Opcode::Encode, &[0u8; 16]);
+        stream.write_all(&wire[..HEADER_LEN + 4]).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.shutdown());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown hung on a mid-frame connection"))
+            .unwrap();
     }
 
     #[test]
     fn ping_drain_and_fault_injection_over_tcp() {
-        for transport in BOTH {
-            let server = bind_on(transport);
-            let mut client = Client::connect(server.addr()).unwrap();
-            assert!(!client.ping().unwrap(), "fresh server is not draining");
+        let server = bind();
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert!(!client.ping().unwrap(), "fresh server is not draining");
 
-            // Delay fault: the reply still arrives, just late — and Ping
-            // is exempt, so health stays honest while data lags.
-            server.faults().set_delay_ms(30);
-            let hist = Histogram::new(vec![3, 1]).unwrap();
-            let t0 = std::time::Instant::now();
-            let (bits, data) = client.encode(&hist, &[0, 1, 0]).unwrap();
-            assert!(
-                t0.elapsed() >= Duration::from_millis(25),
-                "{transport:?} delay applied"
-            );
-            server.faults().set_delay_ms(0);
+        // Delay fault: the reply still arrives, just late — and Ping is
+        // exempt, so health stays honest while data lags.
+        server.faults().set_delay_ms(30);
+        let hist = Histogram::new(vec![3, 1]).unwrap();
+        let t0 = std::time::Instant::now();
+        let (bits, data) = client.encode(&hist, &[0, 1, 0]).unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(25), "delay applied");
+        server.faults().set_delay_ms(0);
 
-            // Drop fault: the connection is severed without a reply.
-            server.faults().set_drop_pct(100);
-            assert!(client.encode(&hist, &[0, 1]).is_err(), "{transport:?}");
-            server.faults().set_drop_pct(0);
+        // Drop fault: the connection is severed without a reply.
+        server.faults().set_drop_pct(100);
+        assert!(client.encode(&hist, &[0, 1]).is_err());
+        server.faults().set_drop_pct(0);
 
-            // A fresh connection works again; drain flips the pong bit.
-            let mut c2 = Client::connect(server.addr()).unwrap();
-            assert_eq!(c2.decode(&hist, bits, &data).unwrap(), vec![0, 1, 0]);
-            c2.drain().unwrap();
-            assert!(c2.ping().unwrap(), "drained server advertises it");
-            drop((client, c2));
-            server.shutdown().unwrap();
-        }
+        // A fresh connection works again; drain flips the pong bit.
+        let mut c2 = Client::connect(server.addr()).unwrap();
+        assert_eq!(c2.decode(&hist, bits, &data).unwrap(), vec![0, 1, 0]);
+        c2.drain().unwrap();
+        assert!(c2.ping().unwrap(), "drained server advertises it");
+        drop((client, c2));
+        server.shutdown().unwrap();
     }
 
     #[test]
@@ -543,25 +245,23 @@ mod tests {
         use crate::frame::{encode_frame, ErrorCode, Opcode};
         use std::io::Write;
 
-        for transport in BOTH {
-            let server = bind_on(transport);
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            // An Encode frame with an empty body: truncated at "alphabet".
-            let wire = encode_frame(5, Opcode::Encode, &[]);
-            stream.write_all(&wire).unwrap();
-            stream.flush().unwrap();
-            let raw = read_frame(&mut &stream).unwrap().unwrap();
-            assert_eq!(raw.id, 5);
-            match crate::frame::decode_response(raw.opcode, &raw.body).unwrap() {
-                Response::Error {
-                    code: ErrorCode::Malformed,
-                    ..
-                } => {}
-                other => panic!("{transport:?}: expected Malformed, got {other:?}"),
-            }
-            drop(stream);
-            server.shutdown().unwrap();
+        let server = bind();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // An Encode frame with an empty body: truncated at "alphabet".
+        let wire = encode_frame(5, Opcode::Encode, &[]);
+        stream.write_all(&wire).unwrap();
+        stream.flush().unwrap();
+        let raw = read_frame(&mut &stream).unwrap().unwrap();
+        assert_eq!(raw.id, 5);
+        match crate::frame::decode_response(raw.opcode, &raw.body).unwrap() {
+            Response::Error {
+                code: ErrorCode::Malformed,
+                ..
+            } => {}
+            other => panic!("expected Malformed, got {other:?}"),
         }
+        drop(stream);
+        server.shutdown().unwrap();
     }
 
     #[test]
@@ -569,7 +269,7 @@ mod tests {
         use crate::frame::{encode_request, Opcode};
         use std::io::Write;
 
-        let server = bind_on(Transport::Reactor);
+        let server = bind();
         let hist = Histogram::new(vec![5, 2, 1]).unwrap();
 
         // Connection A drips an Encode request a byte at a time...

@@ -1,17 +1,15 @@
-//! The reactor transport: one epoll thread owning every socket.
+//! The server's transport: one epoll thread owning every socket.
 //!
-//! The blocking front end in [`crate::net`] spends a thread per
-//! connection; at 10k mostly-idle connections that is 10k stacks and
-//! 10k parked reads. This module replaces them with a single thread
-//! around a [`mio::Poll`]:
+//! A thread per connection would cost 10k stacks and 10k parked reads
+//! at 10k mostly-idle connections. This module serves them all from a
+//! single thread around a [`mio::Poll`]:
 //!
 //! * the listener and every connection are registered non-blocking;
 //! * partial reads feed each connection's incremental
 //!   [`FrameDecoder`], so a frame split across arbitrary TCP segments
 //!   resumes where it left off;
-//! * decoded codec requests enter the *same* bounded queue and batch
-//!   workers as the blocking path ([`Service::submit_async`]), so
-//!   responses are bit-identical across transports;
+//! * decoded codec requests enter the service's bounded queue and
+//!   batch workers through [`Service::submit_async`];
 //! * workers hand finished responses back through a
 //!   [`CompletionQueue`] and wake the reactor out of `epoll_wait` via
 //!   an `eventfd` [`mio::Waker`] — at most one wake syscall per
@@ -25,12 +23,11 @@
 //! deadline sweep answers `Timeout` on the wire exactly once and a
 //! late completion for an already-timed-out id is dropped.
 //!
-//! Fault injection mirrors the blocking path: `drop` severs the
-//! connection before the request is submitted; `delay` parks the
-//! request on a timer wheel (a plain scan — the knob is test-only)
-//! and submits when due. Control requests (`Stats`/`Ping`/`Drain`)
-//! are answered inline, bypassing both faults and the queue, exactly
-//! as the blocking path does.
+//! Fault injection: `drop` severs the connection before the request is
+//! submitted; `delay` parks the request on a timer wheel (a plain scan
+//! — the knob is test-only) and submits when due. Control requests
+//! (`Stats`/`Ping`/`Drain`) and warm-up frames are answered inline,
+//! bypassing both faults and the queue.
 
 use crate::frame::{decode_request, encode_response, FrameDecoder, RawFrame, Request, Response};
 use crate::net::FaultInjection;
@@ -199,8 +196,8 @@ struct Conn {
     interest: Interest,
     /// Stamps completions/timers so slot reuse cannot misroute them.
     generation: u64,
-    /// Fault-injection RNG, seeded like the blocking path so fault
-    /// schedules replay identically across transports.
+    /// Fault-injection RNG, seeded from the accept index so a fault
+    /// schedule replays identically run to run.
     rng: u64,
     /// In-flight request ids and their deadlines.
     pending: HashMap<u64, Instant>,
@@ -282,8 +279,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // Persistent failure (e.g. EMFILE): back off instead
-                    // of hot-spinning on a level-triggered listener,
-                    // mirroring the blocking accept loop.
+                    // of hot-spinning on a level-triggered listener.
                     std::thread::sleep(Duration::from_millis(50));
                     return;
                 }
@@ -296,8 +292,8 @@ impl Reactor {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        // Same per-connection fault seed as the blocking accept loop,
-        // so a fault schedule replays identically across transports.
+        // Per-connection fault seed from the accept index, so a fault
+        // schedule replays identically run to run.
         let rng = self.accepted.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         self.accepted += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
@@ -357,9 +353,8 @@ impl Reactor {
                                 }
                             }
                             Err(_) => {
-                                // Desynchronized stream: sever, exactly
-                                // like the blocking path's read_frame
-                                // error (no in-protocol reply possible).
+                                // Desynchronized stream: sever (no
+                                // in-protocol reply possible).
                                 close = true;
                                 break 'reading;
                             }
@@ -393,7 +388,7 @@ impl Reactor {
         let inline = match decode_request(raw.opcode, &raw.body) {
             // Control requests bypass both the queue and the fault
             // knobs: a saturated or faulty replica still answers its
-            // health probes truthfully (blocking-path parity).
+            // health probes truthfully.
             Ok(Request::Stats) => Some(Response::Stats {
                 json: self.service.stats_json(),
             }),
@@ -422,8 +417,7 @@ impl Reactor {
                 let delay = self.faults.delay();
                 if !delay.is_zero() {
                     // Park the request; `fire_delayed` submits it when
-                    // due. The deadline clock starts at submission,
-                    // matching the blocking path's sleep-then-submit.
+                    // due. The deadline clock starts at submission.
                     self.delayed.push(Delayed {
                         due: Instant::now() + delay,
                         slot,

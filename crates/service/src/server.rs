@@ -104,10 +104,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where a job's response goes. The blocking transport waits on a
-/// channel; the reactor transport registers a callback that runs on
-/// whichever worker thread finishes the job (it pushes the response
-/// onto the reactor's completion queue — cheap and non-blocking).
+/// Where a job's response goes. An in-process caller of
+/// [`Service::submit`] waits on a channel; the reactor registers a
+/// callback that runs on whichever worker thread finishes the job (it
+/// pushes the response onto the reactor's completion queue — cheap and
+/// non-blocking).
 pub(crate) enum ReplySink {
     /// The submitter blocks on the receiving end ([`Service::submit`]).
     Channel(mpsc::Sender<Response>),

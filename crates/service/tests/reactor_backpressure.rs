@@ -8,7 +8,7 @@
 //! it here cannot race another test's reactor.
 
 use partree_service::frame::{encode_request, Request};
-use partree_service::{Client, Server, Service, ServiceConfig, Transport};
+use partree_service::{Client, Server, Service, ServiceConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -22,8 +22,7 @@ fn never_reading_peer_is_severed_at_the_write_cap() {
         store_dir: None,
         ..ServiceConfig::default()
     });
-    let server =
-        Server::bind_with(svc.clone(), "127.0.0.1:0", Transport::Reactor).expect("bind reactor");
+    let server = Server::bind(svc.clone(), "127.0.0.1:0").expect("bind reactor");
     let addr = server.addr();
 
     // The hostile peer: pump Stats requests (answered inline, ~1 KiB

@@ -11,15 +11,30 @@
 //! raise the hard limit too); whatever is actually granted scales the
 //! idle herd down gracefully rather than failing the test on a
 //! constrained runner.
+//!
+//! The two tests share this process's fd table, so they are serialised
+//! on [`SERIAL`]: the shedding test holds a few hundred sockets, and if
+//! it ran while the soak read `/proc/self/fd` those would count as the
+//! soak's leak.
 
 use partree_service::frame::{encode_request, read_frame, Histogram, Opcode, Request, Response};
-use partree_service::net::{Server, Transport};
+use partree_service::net::Server;
 use partree_service::server::{Service, ServiceConfig};
 use partree_service::Client;
 use partree_service::FamilyId;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Held for the whole of each test in this file (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], shrugging off poison: a failed sibling test has
+/// already reported itself, and must not fail this one too.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Open descriptors of this process, `read_dir`'s own fd included —
 /// the bias is identical in every call, so equality comparisons hold.
@@ -47,6 +62,7 @@ fn connect_idle_herd(addr: std::net::SocketAddr, count: usize) -> Vec<TcpStream>
 
 #[test]
 fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
+    let _serial = serial();
     // Ask for room for the full 10k-idle herd; scale to what we get.
     let granted = mio::net::raise_nofile_limit(64 * 1024).unwrap_or(1024);
     let budget = granted.saturating_sub(2048); // slack for everything else
@@ -72,12 +88,7 @@ fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
     let thread_baseline = live_threads();
 
     {
-        let server = Server::bind_with(
-            Service::start(ServiceConfig::default()),
-            "127.0.0.1:0",
-            Transport::Reactor,
-        )
-        .unwrap();
+        let server = Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap();
         let addr = server.addr();
 
         let idle = connect_idle_herd(addr, idle_target);
@@ -139,13 +150,14 @@ fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
 
 #[test]
 fn paused_service_sheds_busy_deterministically_over_the_reactor() {
+    let _serial = serial();
     const QUEUE: usize = 32;
     const CONNS: usize = 200;
 
     // workers: 0 pauses the drain side entirely, so exactly QUEUE
     // submissions are accepted and every later one sheds as Busy —
     // no timing, no racing workers.
-    let server = Server::bind_with(
+    let server = Server::bind(
         Service::start(ServiceConfig {
             workers: 0,
             queue_capacity: QUEUE,
@@ -153,7 +165,6 @@ fn paused_service_sheds_busy_deterministically_over_the_reactor() {
             ..ServiceConfig::default()
         }),
         "127.0.0.1:0",
-        Transport::Reactor,
     )
     .unwrap();
     let addr = server.addr();

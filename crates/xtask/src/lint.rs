@@ -24,8 +24,9 @@
 //!   whatever order the container yields, so an unargued iteration
 //!   would make segment layout — and recovery behaviour — vary by run.
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` on the request paths
-//!   (`service/src/{server,net}.rs`,
-//!   `gateway/src/{gateway,pool,breaker,route}.rs`, the store's
+//!   (`delta/src/{lib,drift,patch}.rs`,
+//!   `service/src/{server,net,reactor,waker}.rs`,
+//!   `gateway/src/{gateway,breaker,route,reactor}.rs`, the store's
 //!   request/recovery paths `store/src/{log,segment,record}.rs`, and
 //!   the payload codec kernels `codes/src/{table,encoder,decoder}.rs`
 //!   that run on every warm request): a poisoned lock, failed spawn
@@ -109,7 +110,6 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/service/src/reactor.rs",
     "crates/service/src/waker.rs",
     "crates/gateway/src/gateway.rs",
-    "crates/gateway/src/pool.rs",
     "crates/gateway/src/breaker.rs",
     "crates/gateway/src/route.rs",
     "crates/gateway/src/reactor.rs",
@@ -568,7 +568,10 @@ mod tests {
     #[test]
     fn unwrap_is_flagged_on_request_paths_only() {
         let src = "let g = self.lock.lock().unwrap();\n";
-        assert_eq!(rules("crates/gateway/src/pool.rs", src), vec!["no-unwrap"]);
+        assert_eq!(
+            rules("crates/gateway/src/reactor.rs", src),
+            vec!["no-unwrap"]
+        );
         assert!(lint_file("crates/gateway/src/metrics.rs", src).is_empty());
         let waived = "// lint: allow(no-unwrap): poisoned pool lock is unrecoverable\n\
                       let g = self.lock.lock().unwrap();\n";

@@ -2,8 +2,8 @@
 //!
 //! Every family — classic Huffman (legacy opcodes `0x01`/`0x02`),
 //! Shannon–Fano (`0x08`/`0x09`), minimax (`0x0A`/`0x0B`), and
-//! choosable-edge (`0x0C`/`0x0D`) — must roundtrip over loopback TCP on
-//! **both** transports with bytes identical to a direct in-process run,
+//! choosable-edge (`0x0C`/`0x0D`) — must roundtrip over loopback TCP
+//! with bytes identical to a direct in-process run,
 //! show up in the service's flat-JSON stats under its own
 //! `family_<name>_*` counters, and route through the gateway with the
 //! same bytes and per-family request counters. A mixed-family store
@@ -13,7 +13,7 @@
 
 use partree::gateway::{Gateway, GatewayConfig};
 use partree::service::frame::{Histogram, Request, Response};
-use partree::service::net::{Server, Transport};
+use partree::service::net::Server;
 use partree::service::server::{Service, ServiceConfig};
 use partree::service::{Client, FamilyId};
 use std::time::Duration;
@@ -45,54 +45,42 @@ fn direct_encode(svc: &Service, f: FamilyId, hist: &Histogram, msg: &[u8]) -> (u
 }
 
 #[test]
-fn every_family_roundtrips_on_both_transports_with_wire_counters() {
+fn every_family_roundtrips_with_wire_counters() {
     let msg = payload(8, 256);
     let hist = Histogram::of_payload(8, &msg).unwrap();
     let direct = Service::start(ServiceConfig::default());
+    let server = Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
-    for transport in [Transport::Blocking, Transport::Reactor] {
-        let server = Server::bind_with(
-            Service::start(ServiceConfig::default()),
-            "127.0.0.1:0",
-            transport,
-        )
-        .unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-
-        for f in FamilyId::ALL {
-            let (bits, data) = client.encode_with(f, &hist, &msg).unwrap();
-            let (d_bits, d_data) = direct_encode(&direct, f, &hist, &msg);
-            assert_eq!(
-                (bits, &data),
-                (d_bits, &d_data),
-                "{f} over {transport:?}: wire == direct"
-            );
-            let back = client.decode_with(f, &hist, bits, &data).unwrap();
-            assert_eq!(back, msg, "{f} over {transport:?}: decode roundtrip");
-        }
-
-        // The flat-JSON stats must survive the wire with per-family
-        // counters intact: one encode + one decode per family, one
-        // construction each, and the decode hitting the encode's entry.
-        let snap = client.stats().unwrap();
-        assert_eq!(
-            snap.family_requests,
-            [2, 2, 2, 2],
-            "{transport:?}: requests counted per family"
-        );
-        assert_eq!(
-            snap.family_constructions,
-            [1, 1, 1, 1],
-            "{transport:?}: one build per family"
-        );
-        assert_eq!(
-            snap.family_hits,
-            [1, 1, 1, 1],
-            "{transport:?}: each decode reused its family's codebook"
-        );
-
-        server.shutdown().unwrap();
+    for f in FamilyId::ALL {
+        let (bits, data) = client.encode_with(f, &hist, &msg).unwrap();
+        let (d_bits, d_data) = direct_encode(&direct, f, &hist, &msg);
+        assert_eq!((bits, &data), (d_bits, &d_data), "{f}: wire == direct");
+        let back = client.decode_with(f, &hist, bits, &data).unwrap();
+        assert_eq!(back, msg, "{f}: decode roundtrip");
     }
+
+    // The flat-JSON stats must survive the wire with per-family
+    // counters intact: one encode + one decode per family, one
+    // construction each, and the decode hitting the encode's entry.
+    let snap = client.stats().unwrap();
+    assert_eq!(
+        snap.family_requests,
+        [2, 2, 2, 2],
+        "requests counted per family"
+    );
+    assert_eq!(
+        snap.family_constructions,
+        [1, 1, 1, 1],
+        "one build per family"
+    );
+    assert_eq!(
+        snap.family_hits,
+        [1, 1, 1, 1],
+        "each decode reused its family's codebook"
+    );
+
+    server.shutdown().unwrap();
     direct.shutdown();
 }
 

@@ -238,13 +238,11 @@ fn delta_patches_are_bit_identical_across_pools() {
 }
 
 #[test]
-fn delta_responses_are_bit_identical_across_transports() {
-    // The wire answers a drifted encode must not depend on which
-    // transport engine served it: a blocking thread-per-connection
-    // replica and an epoll reactor replica patch the same base with
-    // the same deltas into the same bytes — and both match a direct
-    // from-scratch encode of the drifted histogram.
-    use partree::service::net::{Server, Transport};
+fn delta_responses_are_bit_identical_over_tcp() {
+    // A drifted encode served over the wire patches the base with the
+    // deltas into exactly the bytes of a direct from-scratch encode of
+    // the drifted histogram.
+    use partree::service::net::Server;
     use partree::service::server::{Service, ServiceConfig};
     use partree::service::Client;
 
@@ -267,32 +265,25 @@ fn delta_responses_are_bit_identical_across_transports() {
         }
     };
 
-    for transport in [Transport::Blocking, Transport::Reactor] {
-        let server = Server::bind_with(
-            Service::start(ServiceConfig::default()),
-            "127.0.0.1:0",
-            transport,
-        )
+    let server = Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let base = Histogram::new(base_counts).unwrap();
+    client.encode(&base, &payload).unwrap();
+    let base_key = FamilyId::Huffman.tagged_key(base.hash64());
+    let (path, bit_len, data) = client
+        .encode_delta(FamilyId::Huffman, base_key, &deltas, &payload)
         .unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let base = Histogram::new(base_counts.clone()).unwrap();
-        client.encode(&base, &payload).unwrap();
-        let base_key = FamilyId::Huffman.tagged_key(base.hash64());
-        let (path, bit_len, data) = client
-            .encode_delta(FamilyId::Huffman, base_key, &deltas, &payload)
-            .unwrap();
-        assert_eq!(path, 0, "{transport:?}: bounded drift patches");
-        assert_eq!(
-            (bit_len, &data),
-            (expected.0, &expected.1),
-            "{transport:?}: patched bytes == from-scratch bytes"
-        );
-        let back = client
-            .decode_delta(FamilyId::Huffman, base_key, &deltas, bit_len, &data)
-            .unwrap();
-        assert_eq!(back, payload, "{transport:?}");
-        server.shutdown().unwrap();
-    }
+    assert_eq!(path, 0, "bounded drift patches");
+    assert_eq!(
+        (bit_len, &data),
+        (expected.0, &expected.1),
+        "patched bytes == from-scratch bytes"
+    );
+    let back = client
+        .decode_delta(FamilyId::Huffman, base_key, &deltas, bit_len, &data)
+        .unwrap();
+    assert_eq!(back, payload);
+    server.shutdown().unwrap();
 }
 
 #[test]

@@ -1,10 +1,14 @@
 //! Integration: the replica gateway under fire — three codec replicas
 //! behind one router, concurrent clients, one replica slowed to force
 //! hedging and another killed mid-run to force retries and failover.
-//! Every response that comes back must be byte-identical to a direct
-//! single-service run, ≥99% of in-deadline requests must succeed, and
-//! the router's own metrics must show the resilience machinery engaged
-//! (retries, winning hedges, the killed replica's breaker opening).
+//! Every replica serves from its epoll reactor and every gateway
+//! attempt runs on the gateway's RPC reactor, so a transport bug — a
+//! dropped frame, a completion misrouted to a reused connection slot, a
+//! stall under a dead peer — has nowhere to hide. Every response that
+//! comes back must be byte-identical to a direct single-service run,
+//! ≥99% of in-deadline requests must succeed, and the router's own
+//! metrics must show the resilience machinery engaged (retries, winning
+//! hedges, the killed replica's breaker opening).
 
 use partree::gateway::{Gateway, GatewayConfig};
 use partree::service::frame::{Histogram, Request, Response};
@@ -88,7 +92,8 @@ fn failover_under_load_stays_bit_identical() {
     let gw = Arc::new(Gateway::start(cfg));
 
     // Warm pass: primes every replica's codebook cache and the
-    // gateway's latency EWMA, and checks bit-identity on a calm fleet.
+    // gateway's latency EWMA, and checks bit-identity of both
+    // directions on a calm fleet.
     for (i, e) in expected.iter().enumerate() {
         let (bits, data) = gw.encode(&e.hist, &e.payload).unwrap();
         assert_eq!(
@@ -96,6 +101,8 @@ fn failover_under_load_stays_bit_identical() {
             (e.bit_len, &e.data),
             "warm {i}: gateway differs from direct run"
         );
+        let back = gw.decode(&e.hist, e.bit_len, &e.data).unwrap();
+        assert_eq!(back, e.payload, "warm {i}: decode differs");
     }
 
     // Slow replica 2 past the hedge threshold for the first half of the

@@ -8,7 +8,7 @@
 //! tag is the *identity* mapping, which keeps every pre-existing store
 //! record and routing decision exactly where it was.
 
-use crate::{choosable, minimax, shannon_fano};
+use crate::{choosable, minimax, shannon_fano, two_queue};
 use partree_core::{Error, Result};
 use partree_pram::CostTracer;
 
@@ -184,19 +184,28 @@ impl CodeFamily for HuffmanFamily {
         n.saturating_sub(1) as u32
     }
 
-    // The parallel algorithm *is* the reference for this family: the
+    // The Theorem 5.1 pipeline is the reference for this family: the
     // service has always served its lengths, and sequential Huffman
     // (`partree_huffman::sequential`) can legally pick a different
-    // optimal tree. Cost-equality between the two is pinned in
-    // partree-huffman's own tests.
+    // optimal tree where weights tie. The two-queue kernel answers only
+    // where the optimum is unique — all 2n−1 merge weights pairwise
+    // distinct — so there it returns the pipeline's lengths exactly, in
+    // microseconds instead of milliseconds. On a tie it refuses and the
+    // pipeline decides.
     fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
+        if let Some(lengths) = two_queue::separated_lengths(counts) {
+            return Ok(lengths);
+        }
         let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
         Ok(partree_huffman::parallel::huffman_parallel(&weights)?.lengths)
     }
 
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
+        if let Some(lengths) = two_queue::separated_lengths_traced(counts, tracer) {
+            return Ok(lengths);
+        }
         let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
         Ok(partree_huffman::parallel::huffman_parallel_traced(&weights, tracer)?.lengths)
     }

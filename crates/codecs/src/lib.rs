@@ -22,6 +22,9 @@
 //! * [`family`] — [`FamilyId`], the [`CodeFamily`] trait, the registry,
 //!   and the family-tagged cache key;
 //! * [`shannon_fano`] — exact integer Shannon–Fano lengths (§7.3);
+//! * [`two_queue`] — the two-queue merge shared by minimax and Huffman,
+//!   and the exact Huffman kernel that serves family 0 wherever no node
+//!   weights tie;
 //! * [`minimax`] — two-queue combinatorial merging, `max(a,b)+1` rule;
 //! * [`choosable`] — level-synchronous DP over open slots for the
 //!   `{1,3}/{2,2}` edge-length pair system;
@@ -37,5 +40,6 @@ pub mod family;
 pub mod minimax;
 pub mod oracle;
 pub mod shannon_fano;
+pub mod two_queue;
 
 pub use family::{family, CodeFamily, FamilyId, FAMILY_COUNT};

@@ -8,14 +8,14 @@
 //! Gagie, arXiv 0812.2868, push the real-weight variant to `O(n)` on
 //! sorted input; the integer case here is the classic result.)
 //!
-//! The implementation is the standard two-queue linear pass over
-//! sorted leaves: created parents are non-decreasing — a parent's
-//! value `b + 1` is at least the value of anything popped before it —
-//! so a FIFO of parents stays sorted and each merge is `O(1)`.
-//! Ties break on `(value, creation order)`, with leaves created in
-//! `(weight, symbol index)` order, so the tree — and therefore every
-//! emitted length — is deterministic.
+//! The implementation is the two-queue linear pass over sorted leaves
+//! that Huffman shares ([`crate::two_queue`]). It needs created parents
+//! to be non-decreasing, and they are: a parent's value `b + 1` is at
+//! least the value of anything popped before it. Its tie order —
+//! `(value, creation order)`, leaves created in `(weight, symbol
+//! index)` order — makes every emitted length deterministic.
 
+use crate::two_queue::{ceil_log2, leaf_depths, merge, sorted_leaves};
 use partree_pram::CostTracer;
 use rayon::prelude::*;
 
@@ -34,59 +34,16 @@ pub fn minimax_lengths_traced(counts: &[u32], tracer: &CostTracer) -> Vec<u32> {
     debug_assert!(n >= 2);
 
     let sort = tracer.span("sort");
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&s| (counts[s], s));
+    let order = sorted_leaves(counts);
     sort.add_work(n as u64);
-    sort.add_depth(u64::from(usize::BITS - n.saturating_sub(1).leading_zeros()));
+    sort.add_depth(ceil_log2(n));
 
-    let merge = tracer.span("merge");
-    // Nodes 0..n are the sorted leaves; parents append after them.
-    // parent[v] links each merged node to its parent for the final
-    // depth sweep.
-    let mut value: Vec<u64> = order.iter().map(|&s| u64::from(counts[s])).collect();
-    let mut parent: Vec<usize> = Vec::with_capacity(2 * n - 1);
-    parent.resize(n, usize::MAX);
+    let merge_span = tracer.span("merge");
+    let forest = merge(counts, &order, |a, b| a.max(b) + 1);
+    merge_span.add_work((n - 1) as u64);
+    merge_span.add_depth((n - 1) as u64);
 
-    let mut leaf_at = 0usize; // next unmerged leaf (indices 0..n)
-    let mut node_at = n; // next unmerged parent (indices n..)
-    for _ in 0..n - 1 {
-        let pop = |value: &Vec<u64>, leaf_at: &mut usize, node_at: &mut usize| {
-            // Leaves win ties: they were created earlier.
-            if *leaf_at < n && (*node_at >= value.len() || value[*leaf_at] <= value[*node_at]) {
-                *leaf_at += 1;
-                *leaf_at - 1
-            } else {
-                *node_at += 1;
-                *node_at - 1
-            }
-        };
-        let a = pop(&value, &mut leaf_at, &mut node_at);
-        let b = pop(&value, &mut leaf_at, &mut node_at);
-        let v = value[a].max(value[b]) + 1;
-        let p = value.len();
-        value.push(v);
-        parent.push(usize::MAX);
-        parent[a] = p;
-        parent[b] = p;
-    }
-    merge.add_work((n - 1) as u64);
-    merge.add_depth((n - 1) as u64);
-
-    // Depth of each sorted leaf = parent-chain hops to the root, then
-    // un-sort back to symbol order.
-    let root = value.len() - 1;
-    let mut depth = vec![0u32; value.len()];
-    // Parents have larger indices than both children, so a reverse
-    // index sweep sees every parent before its children.
-    for v in (0..value.len() - 1).rev() {
-        depth[v] = depth[parent[v]] + 1;
-    }
-    debug_assert_eq!(depth[root], 0);
-    let mut lengths = vec![0u32; n];
-    for (sorted_idx, &sym) in order.iter().enumerate() {
-        lengths[sym] = depth[sorted_idx];
-    }
-    lengths
+    leaf_depths(&order, &forest.parent)
 }
 
 /// The minimax objective `maxᵢ (wᵢ + lᵢ)` in exact integer arithmetic.

@@ -4,27 +4,25 @@
 //!
 //! Real traffic histograms drift: counts wobble within a bounded ratio
 //! while the shape of the distribution — and usually the optimal code —
-//! stays put. Today any changed histogram key is a full Theorem 5.1
-//! reconstruction (`⌈log n⌉` concave squarings over `(n+1)²` matrices
-//! for the Huffman family). This crate gives the service a cheaper
-//! path: given the cached **base** codebook and the **drifted** counts,
-//! [`classify`] the drift (per-symbol weight ratio against a
-//! configurable bound, added/removed symbols, alphabet changes) and
-//! [`apply`] either a per-family **patch rule** or the full rebuild.
+//! stays put. This crate gives the service a cheap path for a changed
+//! histogram key: given the cached **base** codebook and the
+//! **drifted** counts, [`classify`] the drift (per-symbol weight ratio
+//! against a configurable bound, added/removed symbols, alphabet
+//! changes) and [`apply`] either a per-family **patch rule** or the
+//! family's full from-scratch construction.
 //!
 //! The patch rules are *exact by construction*, never heuristic:
 //!
-//! * **Huffman** — rebuild only the merge spine: a two-queue pass over
-//!   the sorted leaves (the left-justified spine order of Lemma 3.1),
-//!   `O(n log n)` against the DP's `⌈log n⌉·(n+1)²`. The result is
-//!   accepted only under **strict separation** — all `2n−1` node
-//!   weights pairwise distinct — which forces every greedy merge, makes
-//!   the optimal depth vector unique (the maximal-chain view of Foldes,
-//!   arXiv 1306.5497: sibling-level repairs commute only away from
-//!   ties), and is witnessed by an explicit sibling-property check
-//!   ([`patch::verify_sibling_property`]). Any tie falls back to the
-//!   full pipeline, so a patched answer is provably bit-identical to
-//!   from-scratch construction.
+//! * **Huffman** — the family's own two-queue kernel
+//!   (`partree_codecs::two_queue::separated_lengths`): a merge over the
+//!   sorted leaves, `O(n log n)`, accepted only under **strict
+//!   separation** — all `2n−1` node weights pairwise distinct — which
+//!   forces every greedy merge and makes the optimal depth vector
+//!   unique (the maximal-chain view of Foldes, arXiv 1306.5497), and
+//!   witnessed by a sibling-property check. `family(Huffman)` runs the
+//!   same kernel before its Theorem 5.1 pipeline, so a patch is the
+//!   from-scratch answer; on a tie the rebuild runs the pipeline
+//!   (`⌈log n⌉` concave squarings over `(n+1)²` matrices).
 //! * **Shannon–Fano** — the closed form `lᵢ = ⌈log₂(W/wᵢ)⌉` *is* the
 //!   family's reference; the patch recomputes it directly (`O(n log W)`)
 //!   and is identical to from-scratch by definition.

@@ -4,21 +4,21 @@
 //! it can prove they equal what the family's from-scratch construction
 //! would emit. The rules here earn that proof differently:
 //!
-//! * Huffman ([`huffman_patch`]) reconstructs the merge spine with a
-//!   two-queue pass over the sorted leaves and accepts only under
-//!   *strict separation* — all `2n−1` node weights pairwise distinct.
-//!   Distinct node weights force every greedy selection, so the optimal
-//!   depth vector is unique, and the parallel pipeline (whose output is
-//!   cost-optimal by its internal spine cross-check) must agree with it
-//!   bit for bit. The construction is then double-checked against the
-//!   Faller–Gallager–Knuth sibling property before being released.
+//! * Huffman runs the family's own exact kernel,
+//!   [`two_queue::separated_lengths`]: a two-queue merge over the sorted
+//!   leaves that answers only under *strict separation* (all `2n−1`
+//!   node weights pairwise distinct, so the optimal depth vector is
+//!   unique) and after a sibling-property check. `family(Huffman)`
+//!   tries the same kernel before its Theorem 5.1 pipeline, so a patch
+//!   is the from-scratch answer by construction; a refusal here means
+//!   the rebuild runs the pipeline.
 //! * Shannon–Fano re-evaluates the family's own closed form, so
 //!   equality is definitional.
 //!
 //! Minimax and choosable-edge return `None` unconditionally: the caller
 //! falls back to the family layer.
 
-use partree_codecs::{shannon_fano, FamilyId};
+use partree_codecs::{shannon_fano, two_queue, FamilyId};
 
 /// True if `id` has a patch rule at all (minimax and choosable-edge do
 /// not — their fallbacks are counted separately by the service).
@@ -35,96 +35,10 @@ pub fn patchable(id: FamilyId) -> bool {
 /// within its alphabet cap, at least one nonzero count).
 pub fn patch(id: FamilyId, counts: &[u32]) -> Option<Vec<u32>> {
     match id {
-        FamilyId::Huffman => huffman_patch(counts),
+        FamilyId::Huffman => two_queue::separated_lengths(counts),
         FamilyId::ShannonFano => Some(shannon_fano::sf_lengths(counts)),
         FamilyId::Minimax | FamilyId::ChoosableEdge => None,
     }
-}
-
-/// The Huffman patch rule: rebuild the merge spine in `O(n log n)` and
-/// accept only under strict separation (see the module docs). All
-/// arithmetic is `u64`, which is exact for any sum of ≤ 256 `u32`
-/// counts — and therefore agrees with the pipeline's `f64` sums, which
-/// stay below `2⁴⁰ < 2⁵³`.
-fn huffman_patch(counts: &[u32]) -> Option<Vec<u32>> {
-    let n = counts.len();
-    debug_assert!(n >= 2);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&s| (counts[s], s));
-
-    // Two-queue greedy merge over the sorted leaves: created parents
-    // are non-decreasing, so a FIFO of parents stays sorted and each
-    // merge pops the two globally smallest remaining nodes.
-    let mut value: Vec<u64> = order.iter().map(|&s| u64::from(counts[s])).collect();
-    let mut parent: Vec<usize> = vec![usize::MAX; n];
-    let mut leaf_at = 0usize;
-    let mut node_at = n;
-    for _ in 0..n - 1 {
-        let pop = |value: &Vec<u64>, leaf_at: &mut usize, node_at: &mut usize| {
-            if *leaf_at < n && (*node_at >= value.len() || value[*leaf_at] <= value[*node_at]) {
-                *leaf_at += 1;
-                *leaf_at - 1
-            } else {
-                *node_at += 1;
-                *node_at - 1
-            }
-        };
-        let a = pop(&value, &mut leaf_at, &mut node_at);
-        let b = pop(&value, &mut leaf_at, &mut node_at);
-        let v = value[a] + value[b];
-        let p = value.len();
-        value.push(v);
-        parent.push(usize::MAX);
-        parent[a] = p;
-        parent[b] = p;
-    }
-
-    // Strict separation: any duplicate among the 2n−1 node weights
-    // means a tie could have been broken differently somewhere in the
-    // lattice of optimal codes — refuse and let the pipeline decide.
-    let mut sorted_values = value.clone();
-    sorted_values.sort_unstable();
-    if sorted_values.windows(2).any(|w| w[0] == w[1]) {
-        return None;
-    }
-
-    // Exact verification: the released tree must satisfy the sibling
-    // property. Under strict separation the two-queue construction
-    // guarantees it, but the check is cheap and makes the acceptance
-    // gate independent of the construction above.
-    if !verify_sibling_property(&value, &parent) {
-        return None;
-    }
-
-    // Depths: parents always have larger indices than their children,
-    // so one reverse sweep sees every parent first.
-    let root = value.len() - 1;
-    let mut depth = vec![0u32; value.len()];
-    for v in (0..root).rev() {
-        depth[v] = depth[parent[v]] + 1;
-    }
-    let mut lengths = vec![0u32; n];
-    for (sorted_idx, &sym) in order.iter().enumerate() {
-        lengths[sym] = depth[sorted_idx];
-    }
-    Some(lengths)
-}
-
-/// The Faller–Gallager–Knuth sibling property over a `parent[]`-encoded
-/// merge forest: listing all non-root nodes in ascending weight order,
-/// consecutive pairs `(2k, 2k+1)` must be siblings. A tree has this
-/// property iff it is a Huffman tree, which is what licenses serving
-/// its depths as the family's optimum.
-pub fn verify_sibling_property(value: &[u64], parent: &[usize]) -> bool {
-    let root = value.len() - 1;
-    let mut by_weight: Vec<usize> = (0..value.len()).filter(|&v| v != root).collect();
-    by_weight.sort_by_key(|&v| (value[v], v));
-    if !by_weight.len().is_multiple_of(2) {
-        return false;
-    }
-    by_weight
-        .chunks(2)
-        .all(|pair| parent[pair[0]] == parent[pair[1]] && parent[pair[0]] != usize::MAX)
 }
 
 /// `⌈log₂ n⌉` for `n ≥ 1`.
@@ -133,8 +47,10 @@ fn ceil_log2(n: usize) -> u64 {
 }
 
 /// Estimated operations for a full from-scratch build at alphabet size
-/// `n`. Huffman is dominated by the height-bounded DP's `⌈log n⌉`
-/// concave squarings over `(n+1)²` matrices; Shannon–Fano is the
+/// `n`. Huffman is modelled by its worst case, a tied histogram: the
+/// height-bounded DP's `⌈log n⌉` concave squarings over `(n+1)²`
+/// matrices (a separated histogram rebuilds through the patch's own
+/// kernel); Shannon–Fano is the
 /// 40-turn doubling per symbol; minimax is sort + linear merge;
 /// choosable-edge is the level-synchronous slot DP, whose state space
 /// is why the family caps alphabets at 32.
@@ -169,41 +85,18 @@ mod tests {
     use partree_codecs::family;
 
     #[test]
-    fn huffman_patch_matches_pipeline_on_distinct_counts() {
-        let cases: [&[u32]; 4] = [
-            &[45, 13, 12, 16, 9, 5],
-            &[1, 2, 4, 8, 16],
-            &[100, 1, 3, 7, 31, 200, 55],
-            &[3, 10],
-        ];
-        for counts in cases {
-            let patched = huffman_patch(counts).expect("distinct counts accept");
-            let scratch = family(FamilyId::Huffman).lengths(counts).unwrap();
-            assert_eq!(patched, scratch, "counts {counts:?}");
+    fn huffman_patch_is_the_family_reference_on_separated_counts() {
+        for counts in [&[45u32, 13, 12, 16, 9, 5][..], &[100, 1, 3, 7, 31, 200, 55]] {
+            assert_eq!(
+                patch(FamilyId::Huffman, counts).expect("separated counts patch"),
+                family(FamilyId::Huffman).lengths(counts).unwrap()
+            );
         }
-    }
-
-    #[test]
-    fn ties_are_refused() {
-        // Duplicate leaves.
-        assert_eq!(huffman_patch(&[5, 5, 9]), None);
-        // Distinct leaves whose merge value collides with a leaf:
-        // 1 + 2 = 3.
-        assert_eq!(huffman_patch(&[1, 2, 3, 100]), None);
-    }
-
-    #[test]
-    fn sibling_property_detects_a_corrupted_forest() {
-        // Build a good forest, then cross-wire two parents.
-        let counts = [1u32, 2, 4, 9];
-        assert!(huffman_patch(&counts).is_some());
-        // value = leaves [1,2,4,9] then parents [3,7,16]; wiring leaf 0
-        // to the root's slot breaks adjacent pairing.
-        let value = [1u64, 2, 4, 9, 3, 7, 16];
-        let parent = [4usize, 4, 5, 6, 5, 6, usize::MAX];
-        assert!(verify_sibling_property(&value, &parent));
-        let bad_parent = [5usize, 4, 4, 6, 5, 6, usize::MAX];
-        assert!(!verify_sibling_property(&value, &bad_parent));
+        assert_eq!(
+            patch(FamilyId::Huffman, &[5, 5, 9]),
+            None,
+            "a leaf tie refuses"
+        );
     }
 
     #[test]

@@ -102,6 +102,7 @@ const HASH_CONTAINER_CRATES: &[&str] = &[
 /// Request-path files where a panic becomes a dropped connection or a
 /// wedged worker rather than an error frame.
 const REQUEST_PATH_FILES: &[&str] = &[
+    "crates/codecs/src/two_queue.rs",
     "crates/delta/src/lib.rs",
     "crates/delta/src/drift.rs",
     "crates/delta/src/patch.rs",

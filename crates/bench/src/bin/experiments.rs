@@ -245,6 +245,8 @@ fn e4() {
         println!("  threads={threads}: {t:.1} ms (speedup {:.2}x)", base / t);
     }
 
+    e4_tie_kernel();
+
     // Height restriction ablation: A_H with H = ⌈log n⌉ vs unrestricted.
     let w = gen::sorted(Distribution::Geometric.weights(64, 3));
     let pw = PrefixWeights::new(&w);
@@ -258,6 +260,104 @@ fn e4() {
         with_spine,
         opt
     );
+}
+
+/// E4 rider: the serving path's sequential tie kernel
+/// (`codecs::tie_kernel`) against the pipeline it reproduces, on the
+/// tie-heavy histogram classes that reach it, both inside a 2-wide pool.
+/// Lengths must agree on every row.
+fn e4_tie_kernel() {
+    use partree_codecs::tie_kernel::huffman_lengths;
+    use partree_huffman::parallel::huffman_parallel;
+
+    type Class = (&'static str, fn(usize, &mut u64) -> Vec<u32>);
+    let classes: [Class; 4] = [
+        ("counts in 1..=4", |n, s| {
+            (0..n).map(|_| 1 + (xorshift(s) % 4) as u32).collect()
+        }),
+        ("counts in 0..=3", |n, s| {
+            let mut c: Vec<u32> = (0..n).map(|_| (xorshift(s) % 4) as u32).collect();
+            c[0] = c[0].max(1);
+            c
+        }),
+        ("1-KiB Zipf(1.2) payload", |n, s| {
+            let cdf = zipf_cdf(n, 1.2);
+            let mut c = vec![0u32; n];
+            for _ in 0..1024 {
+                let u = (xorshift(s) >> 11) as f64 / (1u64 << 53) as f64;
+                c[cdf.partition_point(|&p| p < u).min(n - 1)] += 1;
+            }
+            c
+        }),
+        ("skewed Zipf(1.2) + noise 1..=4", |n, s| {
+            let cdf = zipf_cdf(n, 1.2);
+            (0..n)
+                .map(|r| {
+                    let p = cdf[r] - if r == 0 { 0.0 } else { cdf[r - 1] };
+                    (p * f64::from(1u32 << 20)) as u32 + 1 + (xorshift(s) % 4) as u32
+                })
+                .collect()
+        }),
+    ];
+    println!();
+    println!("tie kernel vs pipeline (median of 9, both inside with_threads(2)):");
+    println!("| class | n | pipeline us | tie kernel us | speedup |");
+    println!("|---|---|---|---|---|");
+    for (label, make) in classes {
+        for n in [16usize, 64, 128, 256] {
+            let mut seed = 0x9e37_79b9_7f4a_7c15 ^ n as u64;
+            let counts = make(n, &mut seed);
+            let w: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
+            let (pipeline_us, kernel_us) = with_threads(2, || {
+                let reference = huffman_parallel(&w).expect("valid").lengths;
+                assert_eq!(huffman_lengths(&counts), reference, "e4 {label} n={n}");
+                let p = median9(|| {
+                    let _ = std::hint::black_box(huffman_parallel(&w));
+                });
+                let k = median9(|| {
+                    let _ = std::hint::black_box(huffman_lengths(&counts));
+                });
+                (p, k)
+            });
+            println!(
+                "| {label} | {n} | {pipeline_us:.0} | {kernel_us:.1} | {:.0}x |",
+                pipeline_us / kernel_us
+            );
+        }
+    }
+}
+
+/// Median of 9 timed runs of `op`, in µs.
+fn median9(mut op: impl FnMut()) -> f64 {
+    let mut t: Vec<f64> = (0..9)
+        .map(|_| {
+            let t0 = Instant::now();
+            op();
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    t.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    t[4]
+}
+
+fn xorshift(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
+/// Cumulative Zipf(`exponent`) over ranks `1..=n`.
+fn zipf_cdf(n: usize, exponent: f64) -> Vec<f64> {
+    let mut acc = 0.0;
+    let mut cdf: Vec<f64> = (1..=n)
+        .map(|r| {
+            acc += (r as f64).powf(-exponent);
+            acc
+        })
+        .collect();
+    cdf.iter_mut().for_each(|c| *c /= acc);
+    cdf
 }
 
 /// E5 — Theorem 6.1: approximate OBST quality and work.
@@ -1242,7 +1342,7 @@ fn e17() {
 /// base) — every delta request is a patch or a counted fallback, never
 /// a cache rebuild of the base.
 fn e18() {
-    use partree_codecs::{family, FamilyId};
+    use partree_codecs::{family, tie_kernel, FamilyId};
     use partree_delta::{apply, DeltaConfig, DeltaPath};
     use partree_huffman::parallel::huffman_parallel;
     use partree_service::frame::{Histogram, Request, Response};
@@ -1275,18 +1375,6 @@ fn e18() {
             })
             .collect()
     };
-    fn median9(mut op: impl FnMut()) -> f64 {
-        let mut t: Vec<f64> = (0..9)
-            .map(|_| {
-                let t0 = Instant::now();
-                op();
-                t0.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        t.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        t[4]
-    }
-
     // Part 1 — raw crossover: the delta engine (classification + patch
     // rule + exactness verification) vs the family's from-scratch
     // pipeline, median-of-9 each, plus the engine's work model.
@@ -1315,13 +1403,18 @@ fn e18() {
                 let _ = std::hint::black_box(fam.lengths(&drifted));
             });
             // A separated Huffman histogram rebuilds through the same
-            // two-queue kernel as the patch; the Theorem 5.1 pipeline
-            // is what a rebuild costs on a tie, so time it too.
+            // two-queue kernel as the patch; on a tie the rebuild runs
+            // the tie kernel, so time it on the same counts, next to the
+            // Theorem 5.1 pipeline it reproduces.
             let pipeline_us = (f == FamilyId::Huffman).then(|| {
                 let w: Vec<f64> = drifted.iter().map(|&c| f64::from(c)).collect();
-                median9(|| {
+                let tie_us = median9(|| {
+                    let _ = std::hint::black_box(tie_kernel::huffman_lengths(&drifted));
+                });
+                let pipeline_us = median9(|| {
                     let _ = std::hint::black_box(huffman_parallel(&w));
-                })
+                });
+                (tie_us, pipeline_us)
             });
             println!(
                 "{{\"experiment\":\"e18\",\"part\":\"crossover\",\"family\":\"{}\",\
@@ -1333,7 +1426,9 @@ fn e18() {
                     DeltaPath::Patched => "patched",
                     DeltaPath::Rebuilt => "rebuilt",
                 },
-                pipeline_us.map_or(String::new(), |us| format!("\"pipeline_us\":{us:.2},")),
+                pipeline_us.map_or(String::new(), |(tie, us)| format!(
+                    "\"tie_us\":{tie:.2},\"pipeline_us\":{us:.2},"
+                )),
                 r.patch_work,
                 r.rebuild_work,
                 rebuild_us / patch_us.max(0.01),
@@ -1348,7 +1443,7 @@ fn e18() {
                     assert!(r.patch_work < r.rebuild_work, "e18: work model n={n}");
                     // The pipeline is quadratic; by n=64 the O(n log n)
                     // patch must win on the clock, not just on the model.
-                    let pipeline_us = pipeline_us.expect("timed for huffman");
+                    let (_, pipeline_us) = pipeline_us.expect("timed for huffman");
                     if n >= 64 {
                         assert!(
                             patch_us < pipeline_us,

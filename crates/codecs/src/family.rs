@@ -8,7 +8,7 @@
 //! tag is the *identity* mapping, which keeps every pre-existing store
 //! record and routing decision exactly where it was.
 
-use crate::{choosable, minimax, shannon_fano, two_queue};
+use crate::{choosable, minimax, shannon_fano, tie_kernel, two_queue};
 use partree_core::{Error, Result};
 use partree_pram::CostTracer;
 
@@ -184,30 +184,25 @@ impl CodeFamily for HuffmanFamily {
         n.saturating_sub(1) as u32
     }
 
-    // The Theorem 5.1 pipeline is the reference for this family: the
-    // service has always served its lengths, and sequential Huffman
-    // (`partree_huffman::sequential`) can legally pick a different
-    // optimal tree where weights tie. The two-queue kernel answers only
-    // where the optimum is unique — all 2n−1 merge weights pairwise
-    // distinct — so there it returns the pipeline's lengths exactly, in
-    // microseconds instead of milliseconds. On a tie it refuses and the
-    // pipeline decides.
+    // The Theorem 5.1 pipeline's tie rule is the reference for this
+    // family: the service has always served its lengths, and sequential
+    // Huffman (`partree_huffman::sequential`) can legally pick a
+    // different optimal tree where weights tie. The two-queue kernel
+    // answers where the optimum is unique — all 2n−1 merge weights
+    // pairwise distinct. Everywhere else the tie kernel computes the
+    // pipeline's `A_H` exactly and runs the pipeline's own first-wins
+    // argmins over it, so both return the pipeline's lengths without
+    // running the pipeline.
     fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
-        if let Some(lengths) = two_queue::separated_lengths(counts) {
-            return Ok(lengths);
-        }
-        let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
-        Ok(partree_huffman::parallel::huffman_parallel(&weights)?.lengths)
+        Ok(two_queue::separated_lengths(counts)
+            .unwrap_or_else(|| tie_kernel::huffman_lengths(counts)))
     }
 
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
-        if let Some(lengths) = two_queue::separated_lengths_traced(counts, tracer) {
-            return Ok(lengths);
-        }
-        let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
-        Ok(partree_huffman::parallel::huffman_parallel_traced(&weights, tracer)?.lengths)
+        Ok(two_queue::separated_lengths_traced(counts, tracer)
+            .unwrap_or_else(|| tie_kernel::huffman_lengths_traced(counts, tracer)))
     }
 
     fn cost(&self, counts: &[u32], lengths: &[u32]) -> u64 {

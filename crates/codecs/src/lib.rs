@@ -25,6 +25,9 @@
 //! * [`two_queue`] — the two-queue merge shared by minimax and Huffman,
 //!   and the exact Huffman kernel that serves family 0 wherever no node
 //!   weights tie;
+//! * [`tie_kernel`] — the exact sequential `A_H` kernel that serves
+//!   family 0 where node weights tie, with the Theorem 5.1 pipeline's
+//!   tie rule;
 //! * [`minimax`] — two-queue combinatorial merging, `max(a,b)+1` rule;
 //! * [`choosable`] — level-synchronous DP over open slots for the
 //!   `{1,3}/{2,2}` edge-length pair system;
@@ -40,6 +43,7 @@ pub mod family;
 pub mod minimax;
 pub mod oracle;
 pub mod shannon_fano;
+pub mod tie_kernel;
 pub mod two_queue;
 
 pub use family::{family, CodeFamily, FamilyId, FAMILY_COUNT};

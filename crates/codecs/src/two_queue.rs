@@ -19,10 +19,11 @@
 //! Foldes' terms (arXiv 1306.5497), one optimal chain of the partition
 //! lattice. Any optimal construction returns it, the Theorem 5.1
 //! pipeline included, so serving it changes no byte. On a tie the
-//! kernel refuses and the caller runs the pipeline, whose tie order is
-//! the family's reference. Before release the forest is also checked
-//! against the Faller–Gallager–Knuth sibling property, which holds iff
-//! it is a Huffman tree.
+//! kernel refuses and the caller runs [`crate::tie_kernel`], which
+//! reproduces the pipeline's tie order (the family's reference)
+//! without running the pipeline. Before release the forest is also
+//! checked against the Faller–Gallager–Knuth sibling property, which
+//! holds iff it is a Huffman tree.
 //!
 //! All arithmetic is `u64`, exact for any sum of at most 256 `u32`
 //! counts; the pipeline's `f64` sums stay below `2⁴⁰ < 2⁵³`, so the two

@@ -20,9 +20,10 @@
 //!   forces every greedy merge and makes the optimal depth vector
 //!   unique (the maximal-chain view of Foldes, arXiv 1306.5497), and
 //!   witnessed by a sibling-property check. `family(Huffman)` runs the
-//!   same kernel before its Theorem 5.1 pipeline, so a patch is the
-//!   from-scratch answer; on a tie the rebuild runs the pipeline
-//!   (`⌈log n⌉` concave squarings over `(n+1)²` matrices).
+//!   same kernel first, so a patch is the from-scratch answer; on a tie
+//!   the rebuild runs the family's tie kernel (an exact sequential
+//!   `O(n²)` height-bounded DP with the Theorem 5.1 pipeline's tie
+//!   rule).
 //! * **Shannon–Fano** — the closed form `lᵢ = ⌈log₂(W/wᵢ)⌉` *is* the
 //!   family's reference; the patch recomputes it directly (`O(n log W)`)
 //!   and is identical to from-scratch by definition.
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn tied_histograms_fall_back_and_stay_exact() {
         // Uniform counts tie everywhere: strict separation fails, the
-        // patch rule must refuse, and the fallback must serve the
-        // pipeline's exact lengths.
+        // patch rule must refuse, and the fallback (the tie kernel) must
+        // serve the pipeline's exact lengths.
         let base = vec![7u32; 16];
         let drifted = vec![8u32; 16];
         let bl = family(FamilyId::Huffman).lengths(&base).unwrap();

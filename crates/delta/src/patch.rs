@@ -9,16 +9,17 @@
 //!   leaves that answers only under *strict separation* (all `2n−1`
 //!   node weights pairwise distinct, so the optimal depth vector is
 //!   unique) and after a sibling-property check. `family(Huffman)`
-//!   tries the same kernel before its Theorem 5.1 pipeline, so a patch
-//!   is the from-scratch answer by construction; a refusal here means
-//!   the rebuild runs the pipeline.
+//!   tries the same kernel first, so a patch is the from-scratch answer
+//!   by construction; a refusal here means the rebuild runs the
+//!   family's tie kernel ([`tie_kernel`]), the exact sequential `A_H`
+//!   DP with the Theorem 5.1 pipeline's tie rule.
 //! * Shannon–Fano re-evaluates the family's own closed form, so
 //!   equality is definitional.
 //!
 //! Minimax and choosable-edge return `None` unconditionally: the caller
 //! falls back to the family layer.
 
-use partree_codecs::{shannon_fano, two_queue, FamilyId};
+use partree_codecs::{shannon_fano, tie_kernel, two_queue, FamilyId};
 
 /// True if `id` has a patch rule at all (minimax and choosable-edge do
 /// not — their fallbacks are counted separately by the service).
@@ -48,17 +49,17 @@ fn ceil_log2(n: usize) -> u64 {
 
 /// Estimated operations for a full from-scratch build at alphabet size
 /// `n`. Huffman is modelled by its worst case, a tied histogram: the
-/// height-bounded DP's `⌈log n⌉` concave squarings over `(n+1)²`
-/// matrices (a separated histogram rebuilds through the patch's own
-/// kernel); Shannon–Fano is the
-/// 40-turn doubling per symbol; minimax is sort + linear merge;
-/// choosable-edge is the level-synchronous slot DP, whose state space
-/// is why the family caps alphabets at 32.
+/// most steps the tie kernel's span can charge at `n`
+/// ([`tie_kernel::step_bound`]; a separated histogram rebuilds through
+/// the patch's own kernel); Shannon–Fano is the 40-turn doubling per
+/// symbol; minimax is sort + linear merge; choosable-edge is the
+/// level-synchronous slot DP, whose state space is why the family caps
+/// alphabets at 32.
 pub fn rebuild_estimate(id: FamilyId, n: usize) -> u64 {
     let n64 = n as u64;
     let logn = ceil_log2(n.max(1));
     match id {
-        FamilyId::Huffman => logn * (n64 + 1) * (n64 + 1) + n64 * logn,
+        FamilyId::Huffman => tie_kernel::step_bound(n),
         FamilyId::ShannonFano => 40 * n64,
         FamilyId::Minimax => n64 * logn + n64,
         FamilyId::ChoosableEdge => n64 * n64 * 64,
@@ -83,6 +84,7 @@ pub fn patch_estimate(id: FamilyId, n: usize) -> u64 {
 mod tests {
     use super::*;
     use partree_codecs::family;
+    use partree_pram::CostTracer;
 
     #[test]
     fn huffman_patch_is_the_family_reference_on_separated_counts() {
@@ -117,6 +119,29 @@ mod tests {
         assert_eq!(patch(FamilyId::ChoosableEdge, &[1, 2, 4]), None);
         assert!(patchable(FamilyId::Huffman));
         assert!(patchable(FamilyId::ShannonFano));
+    }
+
+    #[test]
+    fn huffman_rebuild_estimate_bounds_the_tie_kernel_span() {
+        // All-equal counts tie everywhere, so the family rebuilds
+        // through the tie kernel; its span must stay within the model
+        // and the model must not be vacuous.
+        for n in [2usize, 3, 16, 64, 100, 256] {
+            let t = CostTracer::named("rebuild");
+            family(FamilyId::Huffman)
+                .lengths_traced(&vec![3; n], &t)
+                .unwrap();
+            let work = t
+                .snapshot()
+                .find("tie_kernel")
+                .expect("tie_kernel span")
+                .work;
+            let estimate = rebuild_estimate(FamilyId::Huffman, n);
+            assert!(
+                work <= estimate && 2 * work >= estimate,
+                "n={n}: span {work} against estimate {estimate}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A [`Codebook`] is one `(histogram, family)` pair's worth of
 //! deliverable: canonical code lengths from the requested
-//! [`FamilyId`]'s construction (classic Huffman via
-//! [`partree_huffman::parallel`], Shannon–Fano, minimax, or
-//! choosable-edge via `partree-codecs`), realized as the canonical
+//! [`FamilyId`]'s construction (classic Huffman, Shannon–Fano,
+//! minimax, or choosable-edge, all via `partree-codecs`; Huffman
+//! serves the Theorem 5.1 pipeline's lengths from the exact two-queue
+//! and tie kernels), realized as the canonical
 //! code's two serving kernels, built once per codebook by
 //! [`canonical_kernels`]: a [`CanonicalEncoder`] that appends whole
 //! codewords through a 64-bit accumulator, and a [`CanonicalDecoder`]

@@ -1,8 +1,10 @@
 //! # partree-service
 //!
 //! A batched compression codec service on top of the paper's tree
-//! pipelines — the workload layer that turns Theorem 5.1's parallel
-//! Huffman construction into something traffic can hit.
+//! constructions — the workload layer that turns Theorem 5.1's Huffman
+//! codes into something traffic can hit. Family 0 serves the
+//! pipeline's exact lengths from the sequential kernels in
+//! `partree-codecs`; the pipeline itself is the tests' oracle.
 //!
 //! The design exploits the regime where the paper's algorithms win:
 //! many small requests sharing few alphabets. Requests are drained in

@@ -103,6 +103,7 @@ const HASH_CONTAINER_CRATES: &[&str] = &[
 /// wedged worker rather than an error frame.
 const REQUEST_PATH_FILES: &[&str] = &[
     "crates/codecs/src/two_queue.rs",
+    "crates/codecs/src/tie_kernel.rs",
     "crates/delta/src/lib.rs",
     "crates/delta/src/drift.rs",
     "crates/delta/src/patch.rs",

@@ -111,9 +111,9 @@ impl std::fmt::Display for FamilyId {
 /// * **Kraft feasibility** — returned lengths always satisfy
 ///   `Σ 2^{-lᵢ} ≤ 1`, so canonical realization downstream cannot fail
 ///   for structural reasons.
-/// * **`lengths_traced` ≡ `lengths`** — the traced parallel path and
-///   the sequential reference return identical vectors; the traced
-///   variant only adds span accounting (and may use the rayon shim).
+/// * **One construction path** — [`CodeFamily::lengths`] is
+///   [`CodeFamily::lengths_traced`] under a disabled tracer; spans only
+///   account for the work, they never change the lengths.
 pub trait CodeFamily: Send + Sync {
     /// The family's identity tag.
     fn id(&self) -> FamilyId;
@@ -127,12 +127,14 @@ pub trait CodeFamily: Send + Sync {
     /// and the wire's one-byte length encoding rely on.
     fn depth_bound(&self, n: usize) -> u32;
 
-    /// Sequential reference: code length per symbol, in symbol order.
-    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>>;
+    /// Code length per symbol, in symbol order: the family's one
+    /// construction, untraced.
+    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
+        self.lengths_traced(counts, &CostTracer::disabled())
+    }
 
-    /// The traced parallel path: identical output to
-    /// [`CodeFamily::lengths`], with per-phase work/depth spans opened
-    /// on `tracer`.
+    /// The family's construction, with per-phase work/depth spans
+    /// opened on `tracer`.
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>>;
 
     /// The family's cost model evaluated on a candidate length vector:
@@ -193,12 +195,6 @@ impl CodeFamily for HuffmanFamily {
     // pipeline's `A_H` exactly and runs the pipeline's own first-wins
     // argmins over it, so both return the pipeline's lengths without
     // running the pipeline.
-    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
-        check_counts(counts, self.max_alphabet())?;
-        Ok(two_queue::separated_lengths(counts)
-            .unwrap_or_else(|| tie_kernel::huffman_lengths(counts)))
-    }
-
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
         Ok(two_queue::separated_lengths_traced(counts, tracer)
@@ -227,11 +223,6 @@ impl CodeFamily for ShannonFanoFamily {
         40
     }
 
-    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
-        check_counts(counts, self.max_alphabet())?;
-        Ok(shannon_fano::sf_lengths(counts))
-    }
-
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
         check_counts(counts, self.max_alphabet())?;
         Ok(shannon_fano::sf_lengths_traced(counts, tracer))
@@ -255,11 +246,6 @@ impl CodeFamily for MinimaxFamily {
 
     fn depth_bound(&self, n: usize) -> u32 {
         n.saturating_sub(1) as u32
-    }
-
-    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
-        check_counts(counts, self.max_alphabet())?;
-        Ok(minimax::minimax_lengths(counts))
     }
 
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
@@ -286,11 +272,6 @@ impl CodeFamily for ChoosableEdgeFamily {
     fn depth_bound(&self, n: usize) -> u32 {
         // The longest edge in the pair system is 3.
         3 * n.saturating_sub(1) as u32
-    }
-
-    fn lengths(&self, counts: &[u32]) -> Result<Vec<u32>> {
-        check_counts(counts, self.max_alphabet())?;
-        choosable::choosable_lengths(counts)
     }
 
     fn lengths_traced(&self, counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {

@@ -17,7 +17,6 @@
 
 use crate::two_queue::{ceil_log2, leaf_depths, merge, sorted_leaves};
 use partree_pram::CostTracer;
-use rayon::prelude::*;
 
 /// Minimax code lengths for `counts`, in symbol order. The caller
 /// guarantees at least two symbols (family-layer validation).
@@ -49,10 +48,11 @@ pub fn minimax_lengths_traced(counts: &[u32], tracer: &CostTracer) -> Vec<u32> {
 /// The minimax objective `maxᵢ (wᵢ + lᵢ)` in exact integer arithmetic.
 pub fn minimax_cost(counts: &[u32], lengths: &[u32]) -> u64 {
     counts
-        .par_iter()
-        .zip(lengths.par_iter())
+        .iter()
+        .zip(lengths)
         .map(|(&w, &l)| u64::from(w) + u64::from(l))
-        .reduce(|| 0u64, u64::max)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //! argument (`Σ 2^{-lᵢ} ≤ Σ wᵢ'/W' = 1` over the floored weights).
 
 use partree_pram::CostTracer;
-use rayon::prelude::*;
 
 /// Shannon–Fano code lengths for `counts`, in symbol order. The caller
 /// guarantees at least two symbols and one nonzero count (the family
@@ -32,16 +31,10 @@ pub fn sf_lengths(counts: &[u32]) -> Vec<u32> {
 
 /// [`sf_lengths`] with tracing: one `sf_lengths` span covering the
 /// per-symbol length computation — a single PRAM round (`O(1)` depth,
-/// the doubling loop is `O(log W)` local work per processor), run as a
-/// parallel sweep on the rayon shim.
+/// the doubling loop is `O(log W)` local work per processor).
 pub fn sf_lengths_traced(counts: &[u32], tracer: &CostTracer) -> Vec<u32> {
     let span = tracer.span("sf_lengths");
-    let total: u64 = counts.iter().map(|&c| u64::from(c.max(1))).sum();
-    let owned: Vec<u32> = counts.to_vec();
-    let lengths: Vec<u32> = owned
-        .into_par_iter()
-        .map(|c| ideal_length(u64::from(c.max(1)), total))
-        .collect();
+    let lengths = sf_lengths(counts);
     span.step(counts.len() as u64);
     lengths
 }

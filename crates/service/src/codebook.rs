@@ -42,6 +42,17 @@
 //! so a v2 record's nibble can be verified on the way back in.
 //! Determinism (same histogram + family → bit-identical codebook) is
 //! what makes the stored lengths a faithful stand-in for a rebuild.
+//!
+//! Every entry point — [`CodebookCache::get_or_build`],
+//! [`CodebookCache::lookup_key`], [`CodebookCache::install`] and
+//! [`CodebookCache::adopt`] — takes the same admission path: one
+//! tier-0 probe, one tier-1 load (promotion), and one admission that
+//! writes a new book through to tier 1 and then inserts it
+//! first-insert-wins. The tier-1 load applies the one verification rule
+//! (family nibble, counts equal to the request's histogram when known,
+//! counts hashing back to the key, lengths that realize a prefix code),
+//! and only a key derived from the request's own histogram may delete
+//! a record that fails it; a key a client supplied never does.
 
 use crate::frame::{ErrorCode, FrameError, Histogram};
 use partree_codecs::family::FAMILY_COUNT;
@@ -377,63 +388,122 @@ impl CodebookCache {
     ) -> Result<Arc<Codebook>, FrameError> {
         let key = family_id.tagged_key(histogram.hash64());
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            if let Some(e) = shard.map.get_mut(&key) {
-                if e.book.histogram == *histogram && e.book.family == family_id {
-                    e.last_used = stamp;
-                    e.hits += 1;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.family_hits[family_id.index()].fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&e.book));
-                }
-                // Hash collision between distinct (histogram, family)
-                // pairs: evict the resident and rebuild for the
-                // newcomer.
-                shard.map.remove(&key);
-            }
+        if let Some(book) = self.probe(key, stamp, family_id, Some(histogram), true) {
+            return Ok(book);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-
-        // Tier 1: a stored record promotes without construction.
-        if let Some(book) = self.promote_from_tier1(key, histogram, family_id, tracer) {
-            self.tier1_hits.fetch_add(1, Ordering::Relaxed);
-            let (winner, fresh) = self.insert_first_wins(key, stamp, book);
-            if fresh {
-                self.tier1_promotions.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(winner);
+        if let Some(book) = self.promote_from_tier1(key, stamp, family_id, Some(histogram), tracer)
+        {
+            return Ok(book);
         }
-
         self.constructions.fetch_add(1, Ordering::Relaxed);
         self.family_constructions[family_id.index()].fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(Codebook::build(histogram, family_id, tracer)?);
-        // Write through so the next process lifetime starts warm. Best
-        // effort: a store failure only costs future warmth.
-        if let Some(store) = &self.tier1 {
-            if store
-                .put_tagged(key, family_id.tag(), &built.to_store_body())
-                .is_err()
-            {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (winner, _) = self.insert_first_wins(key, stamp, built);
-        Ok(winner)
+        let built = Codebook::build(histogram, family_id, tracer)?;
+        Ok(self.admit(stamp, built).0)
     }
 
-    /// Attempts a tier-1 load: fetch, verify the record's family
-    /// nibble against the requested family, verify the stored counts
-    /// against the requested histogram (hash-collision defense, same
-    /// as tier 0's equality check), and realize the codebook from
-    /// lengths. Any failure is a miss — and a parse/validation failure
-    /// additionally drops the bad record so the write-through after
-    /// the rebuild replaces it.
+    /// Resolves a codebook by its **tagged key alone** — the delta
+    /// path's base lookup, where the client sends a key instead of a
+    /// histogram. Consults tier 0, then tier 1 (promoting on a hit),
+    /// and never constructs: `None` means the base is gone and the
+    /// caller must answer `UnknownBase`. When `expect` is given, the
+    /// codebook must have been built from it (hash-collision defense
+    /// for callers that do know the histogram); a tier-1 record must
+    /// always hash back to `key`, so a damaged or mis-filed record can
+    /// never serve as a base.
+    pub fn lookup_key(
+        &self,
+        key: u64,
+        family_id: FamilyId,
+        expect: Option<&Histogram>,
+    ) -> Option<Arc<Codebook>> {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.probe(key, stamp, family_id, expect, true).or_else(|| {
+            self.promote_from_tier1(key, stamp, family_id, expect, &CostTracer::disabled())
+        })
+    }
+
+    /// Inserts an externally built codebook (the delta engine's patched
+    /// or rebuilt result) under its own key, writing through to tier 1
+    /// so the drifted codebook survives a restart exactly like a
+    /// constructed one. Returns the resident Arc (a racing insert of
+    /// the same pair wins — constructions are deterministic, so the
+    /// copies are bit-identical).
+    pub fn install(&self, book: Codebook) -> Arc<Codebook> {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.admit(stamp, book).0
+    }
+
+    /// Adopts a pre-built `(histogram, family, lengths)` triple pushed
+    /// by the gateway's warm-up path. No construction runs; invalid
+    /// lengths are rejected. Returns `true` if the entry was adopted
+    /// (false: already resident, or rejected). Adopted entries are
+    /// also written through to tier 1 under the family-tagged key.
+    pub fn adopt(&self, histogram: &Histogram, family_id: FamilyId, lengths: Vec<u32>) -> bool {
+        let key = family_id.tagged_key(histogram.hash64());
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        if self
+            .probe(key, stamp, family_id, Some(histogram), false)
+            .is_some()
+        {
+            return false;
+        }
+        let Ok(book) =
+            Codebook::from_lengths(histogram, family_id, lengths, &CostTracer::disabled())
+        else {
+            return false;
+        };
+        let (_, fresh) = self.admit(stamp, book);
+        if fresh {
+            self.warmup_accepted.fetch_add(1, Ordering::Relaxed);
+        }
+        fresh
+    }
+
+    /// The tier-0 probe behind every entry point: the resident codebook
+    /// under `key` if `family_id` built it (from `expect`, when given),
+    /// stamped most recently used. A `serve` probe answers a lookup and
+    /// counts a tier-0 hit; otherwise it only asks whether the book is
+    /// resident. A resident that does not match stays put: admitting
+    /// or promoting a book under the same key replaces it.
+    fn probe(
+        &self,
+        key: u64,
+        stamp: u64,
+        family_id: FamilyId,
+        expect: Option<&Histogram>,
+        serve: bool,
+    ) -> Option<Arc<Codebook>> {
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let e = shard.map.get_mut(&key)?;
+        if e.book.family != family_id || expect.is_some_and(|h| e.book.histogram != *h) {
+            return None;
+        }
+        e.last_used = stamp;
+        if serve {
+            e.hits += 1;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.family_hits[family_id.index()].fetch_add(1, Ordering::Relaxed);
+        }
+        Some(Arc::clone(&e.book))
+    }
+
+    /// The one tier-1 load: fetch the record under `key`, verify it,
+    /// realize the codebook from its lengths, and insert it into tier 0
+    /// (no write-through: the record is already there). A record is
+    /// served only if its family nibble is `family_id`'s, its counts
+    /// equal `expect`'s when the caller knows the histogram, and those
+    /// counts hash back to `key`; invalid lengths fail realization.
+    /// Any failure is a miss. A record that fails is deleted only
+    /// under a key derived from `expect` — the request's own histogram
+    /// — so the write-through after the rebuild replaces it; a key a
+    /// client supplied never deletes anything.
     fn promote_from_tier1(
         &self,
         key: u64,
-        histogram: &Histogram,
+        stamp: u64,
         family_id: FamilyId,
+        expect: Option<&Histogram>,
         tracer: &CostTracer,
     ) -> Option<Arc<Codebook>> {
         let store = self.tier1.as_ref()?;
@@ -451,74 +521,26 @@ impl CodebookCache {
             .then(|| decode_store_body(&body))
             .flatten()
             .and_then(|(counts, lengths)| {
-                if counts != *histogram.counts() {
+                let stored;
+                let histogram = match expect {
+                    Some(h) if *h.counts() == counts => h,
+                    Some(_) => return None,
+                    None => {
+                        stored = Histogram::new(counts).ok()?;
+                        &stored
+                    }
+                };
+                if family_id.tagged_key(histogram.hash64()) != key {
                     return None;
                 }
                 Codebook::from_lengths(histogram, family_id, lengths, tracer).ok()
             });
-        if book.is_none() {
-            // Structurally invalid, wrong family, or a 64-bit hash
-            // collision: either way this record can never serve this
-            // key again.
-            let _ = store.remove(key);
-        }
-        book.map(Arc::new)
-    }
-
-    /// Resolves a codebook by its **tagged key alone** — the delta
-    /// path's base lookup, where the client sends a key instead of a
-    /// histogram. Consults tier 0, then tier 1 (promoting on a hit),
-    /// and never constructs: `None` means the base is gone and the
-    /// caller must answer `UnknownBase`. When `expect` is given, the
-    /// resident histogram must match it (hash-collision defense for
-    /// callers that do know the histogram); a tier-1 record must
-    /// always hash back to `key`, so a damaged or mis-filed record can
-    /// never serve as a base.
-    pub fn lookup_key(
-        &self,
-        key: u64,
-        family_id: FamilyId,
-        expect: Option<&Histogram>,
-    ) -> Option<Arc<Codebook>> {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            if let Some(e) = shard.map.get_mut(&key) {
-                let matches =
-                    e.book.family == family_id && expect.is_none_or(|h| e.book.histogram == *h);
-                if matches {
-                    e.last_used = stamp;
-                    e.hits += 1;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.family_hits[family_id.index()].fetch_add(1, Ordering::Relaxed);
-                    return Some(Arc::clone(&e.book));
-                }
+        let Some(book) = book else {
+            if expect.is_some_and(|h| family_id.tagged_key(h.hash64()) == key) {
+                let _ = store.remove(key);
             }
-        }
-        let store = self.tier1.as_ref()?;
-        let (tag, body) = match store.get_tagged(key) {
-            Ok(Some(tagged)) => tagged,
-            Ok(None) => return None,
-            Err(_) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+            return None;
         };
-        if tag != family_id.tag() {
-            return None;
-        }
-        let (counts, lengths) = decode_store_body(&body)?;
-        if let Some(h) = expect {
-            if counts != *h.counts() {
-                return None;
-            }
-        }
-        let histogram = Histogram::new(counts).ok()?;
-        if family_id.tagged_key(histogram.hash64()) != key {
-            return None;
-        }
-        let book =
-            Codebook::from_lengths(&histogram, family_id, lengths, &CostTracer::disabled()).ok()?;
         self.tier1_hits.fetch_add(1, Ordering::Relaxed);
         let (winner, fresh) = self.insert_first_wins(key, stamp, Arc::new(book));
         if fresh {
@@ -527,26 +549,21 @@ impl CodebookCache {
         Some(winner)
     }
 
-    /// Inserts an externally built codebook (the delta engine's patched
-    /// or rebuilt result) under its own key, writing through to tier 1
-    /// so the drifted codebook survives a restart exactly like a
-    /// constructed one. Returns the resident Arc (a racing insert of
-    /// the same pair wins — constructions are deterministic, so the
-    /// copies are bit-identical).
-    pub fn install(&self, book: Codebook) -> Arc<Codebook> {
-        let key = book.key;
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let book = Arc::new(book);
+    /// Admits a codebook new to this process — built, installed or
+    /// adopted: writes it through to tier 1 so the next process
+    /// lifetime starts warm, then inserts it first-insert-wins. The
+    /// write-through is best effort: a store failure only costs future
+    /// warmth.
+    fn admit(&self, stamp: u64, book: Codebook) -> (Arc<Codebook>, bool) {
         if let Some(store) = &self.tier1 {
             if store
-                .put_tagged(key, book.family.tag(), &book.to_store_body())
+                .put_tagged(book.key, book.family.tag(), &book.to_store_body())
                 .is_err()
             {
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let (winner, _) = self.insert_first_wins(key, stamp, book);
-        winner
+        self.insert_first_wins(book.key, stamp, Arc::new(book))
     }
 
     /// Inserts `book` under first-insert-wins semantics and applies
@@ -613,44 +630,6 @@ impl CodebookCache {
             .min_by_key(|(&k, e)| (e.last_used, k))
             .map(|(&k, _)| k)
             .expect("non-empty shard")
-    }
-
-    /// Adopts a pre-built `(histogram, family, lengths)` triple pushed
-    /// by the gateway's warm-up path. No construction runs; invalid
-    /// lengths are rejected. Returns `true` if the entry was adopted
-    /// (false: already resident, or rejected). Adopted entries are
-    /// also written through to tier 1 under the family-tagged key.
-    pub fn adopt(&self, histogram: &Histogram, family_id: FamilyId, lengths: Vec<u32>) -> bool {
-        let key = family_id.tagged_key(histogram.hash64());
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            if let Some(e) = shard.map.get_mut(&key) {
-                if e.book.histogram == *histogram && e.book.family == family_id {
-                    e.last_used = stamp;
-                    return false;
-                }
-            }
-        }
-        let Ok(book) =
-            Codebook::from_lengths(histogram, family_id, lengths, &CostTracer::disabled())
-        else {
-            return false;
-        };
-        let book = Arc::new(book);
-        if let Some(store) = &self.tier1 {
-            if store
-                .put_tagged(key, family_id.tag(), &book.to_store_body())
-                .is_err()
-            {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (_, fresh) = self.insert_first_wins(key, stamp, book);
-        if fresh {
-            self.warmup_accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        fresh
     }
 
     /// The `max` hottest resident entries, by tier-0 hits (descending,
@@ -1145,6 +1124,140 @@ mod tests {
         let promoted = cold.lookup_key(key, FamilyId::Huffman, None).unwrap();
         assert_eq!(promoted.lengths, resident.lengths);
         assert_eq!(cold.constructions(), 0);
+    }
+
+    /// A [`MemStore`](partree_store::MemStore) that counts
+    /// `put_tagged` calls, so a test can tell a write-through happened.
+    #[derive(Default)]
+    struct CountingStore {
+        inner: partree_store::MemStore,
+        puts: AtomicU64,
+    }
+
+    impl CodebookStore for CountingStore {
+        fn get(&self, key: u64) -> Result<Option<Vec<u8>>, partree_store::StoreError> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: u64, body: &[u8]) -> Result<(), partree_store::StoreError> {
+            self.inner.put(key, body)
+        }
+        fn put_tagged(
+            &self,
+            key: u64,
+            family: u8,
+            body: &[u8],
+        ) -> Result<(), partree_store::StoreError> {
+            self.puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.put_tagged(key, family, body)
+        }
+        fn get_tagged(&self, key: u64) -> Result<Option<(u8, Vec<u8>)>, partree_store::StoreError> {
+            self.inner.get_tagged(key)
+        }
+        fn remove(&self, key: u64) -> Result<(), partree_store::StoreError> {
+            self.inner.remove(key)
+        }
+        fn contains(&self, key: u64) -> bool {
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<(), partree_store::StoreError> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn lookup_key_for_another_family_leaves_the_record_readable() {
+        // A client-supplied base key that holds a Huffman record, looked
+        // up as minimax: a miss, and the Huffman record survives it.
+        let store = Arc::new(partree_store::MemStore::new());
+        let h = hist(&[9, 4, 2, 1]);
+        let warm = CodebookCache::with_tier1(2, 8, Some(store.clone()));
+        let original = warm
+            .get_or_build(&h, FamilyId::Huffman, &CostTracer::disabled())
+            .unwrap();
+        drop(warm);
+        let key = FamilyId::Huffman.tagged_key(h.hash64());
+
+        let cold = CodebookCache::with_tier1(2, 8, Some(store.clone()));
+        assert!(cold.lookup_key(key, FamilyId::Minimax, None).is_none());
+        assert!(store.contains(key), "a client key must not delete a record");
+        let found = cold
+            .lookup_key(key, FamilyId::Huffman, None)
+            .expect("the Huffman record still resolves");
+        assert_eq!(found.lengths, original.lengths);
+        assert_eq!(cold.constructions(), 0);
+    }
+
+    #[test]
+    fn adopting_a_resident_entry_appends_nothing_to_tier1() {
+        let store = Arc::new(CountingStore::default());
+        let cache = CodebookCache::with_tier1(2, 8, Some(store.clone()));
+        let h = hist(&[9, 3, 1]);
+        let book = cache
+            .get_or_build(&h, FamilyId::Minimax, &CostTracer::disabled())
+            .unwrap();
+        assert_eq!(store.puts.load(Ordering::Relaxed), 1, "one write-through");
+        assert!(!cache.adopt(&h, FamilyId::Minimax, book.lengths.clone()));
+        assert_eq!(store.puts.load(Ordering::Relaxed), 1, "resident: no append");
+        assert_eq!(cache.warmup_accepted(), 0);
+        assert_eq!(cache.hits(), 0, "a residency check is not a hit");
+        // A new entry is adopted and written through exactly once.
+        let other = hist(&[5, 5, 1]);
+        let lengths = Codebook::build(&other, FamilyId::Minimax, &CostTracer::disabled())
+            .unwrap()
+            .lengths;
+        assert!(cache.adopt(&other, FamilyId::Minimax, lengths));
+        assert_eq!(store.puts.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.warmup_accepted(), 1);
+    }
+
+    #[test]
+    fn a_record_that_fails_verification_is_never_served_and_the_rebuild_heals_it() {
+        let t = CostTracer::disabled();
+        let h = hist(&[6, 3, 2, 1]);
+        let key = FamilyId::ShannonFano.tagged_key(h.hash64());
+        let built = Codebook::build(&h, FamilyId::ShannonFano, &t).unwrap();
+        let bad_records: [(&str, Vec<u8>); 3] = [
+            ("truncated body", built.to_store_body()[..5].to_vec()),
+            // All length 1 over four symbols violates Kraft.
+            ("kraft violation", encode_store_body(&h, &[1, 1, 1, 1])),
+            // Valid lengths for other counts: they do not hash to `key`.
+            ("counts of another histogram", {
+                let other = hist(&[6, 3, 2, 2]);
+                let b = Codebook::build(&other, FamilyId::ShannonFano, &t).unwrap();
+                b.to_store_body()
+            }),
+        ];
+        for (what, body) in bad_records {
+            let store = Arc::new(partree_store::MemStore::new());
+            store
+                .put_tagged(key, FamilyId::ShannonFano.tag(), &body)
+                .unwrap();
+            let cache = CodebookCache::with_tier1(2, 8, Some(store.clone()));
+            // Neither a client key nor a derived key serves it.
+            assert!(
+                cache.lookup_key(key, FamilyId::ShannonFano, None).is_none(),
+                "{what}: served under a client key"
+            );
+            assert!(
+                cache
+                    .lookup_key(key, FamilyId::ShannonFano, Some(&h))
+                    .is_none(),
+                "{what}: served under the derived key"
+            );
+            assert_eq!(cache.tier1_hits(), 0, "{what}");
+            // The rebuild serves the right lengths and heals the record.
+            let book = cache.get_or_build(&h, FamilyId::ShannonFano, &t).unwrap();
+            assert_eq!(book.lengths, built.lengths, "{what}");
+            assert_eq!(cache.constructions(), 1, "{what}");
+            let cold = CodebookCache::with_tier1(2, 8, Some(store));
+            let healed = cold
+                .lookup_key(key, FamilyId::ShannonFano, None)
+                .unwrap_or_else(|| panic!("{what}: record not healed"));
+            assert_eq!(healed.lengths, built.lengths, "{what}");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! Fault injection: `drop` severs the connection before the request is
 //! submitted; `delay` parks the request on a timer wheel (a plain scan
 //! — the knob is test-only) and submits when due. Control requests
-//! (`Stats`/`Ping`/`Drain`) and warm-up frames are answered inline,
-//! bypassing both faults and the queue.
+//! (`Stats`/`Ping`/`Drain`) and warm-up frames are answered inline by
+//! `Service::control`, bypassing both faults and the queue.
 
 use crate::frame::{decode_request, encode_response, FrameDecoder, RawFrame, Request, Response};
 use crate::net::FaultInjection;
@@ -385,57 +385,41 @@ impl Reactor {
     /// Routes one decoded frame. Returns `false` when the connection
     /// must be severed (fault injection or write failure).
     fn handle_frame(&mut self, slot: usize, raw: RawFrame) -> bool {
-        let inline = match decode_request(raw.opcode, &raw.body) {
-            // Control requests bypass both the queue and the fault
-            // knobs: a saturated or faulty replica still answers its
-            // health probes truthfully.
-            Ok(Request::Stats) => Some(Response::Stats {
-                json: self.service.stats_json(),
-            }),
-            Ok(Request::Ping) => Some(Response::Pong {
-                draining: self.service.is_draining(),
-            }),
-            Ok(Request::Drain) => {
-                self.service.drain();
-                Some(Response::DrainOk)
-            }
-            // Warm-up is control-plane: answered inline by `submit`
-            // (adoption never constructs, so it cannot stall the
-            // event loop), bypassing fault knobs like the probes do.
-            Ok(request @ (Request::WarmUp { .. } | Request::HotSet { .. })) => {
-                Some(self.service.submit(request))
-            }
-            Ok(request) => {
-                let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-                    return false;
-                };
-                if self.faults.should_drop(&mut conn.rng) {
-                    // Sever without a reply: the peer observes a
-                    // transport error mid-request.
-                    return false;
-                }
-                let delay = self.faults.delay();
-                if !delay.is_zero() {
-                    // Park the request; `fire_delayed` submits it when
-                    // due. The deadline clock starts at submission.
-                    self.delayed.push(Delayed {
-                        due: Instant::now() + delay,
-                        slot,
-                        generation: conn.generation,
-                        id: raw.id,
-                        request,
-                    });
-                } else {
-                    self.submit(slot, raw.id, request);
-                }
-                None
-            }
-            Err(e) => Some(Response::from(e)),
+        let request = match decode_request(raw.opcode, &raw.body) {
+            Ok(request) => request,
+            Err(e) => return self.queue_write(slot, raw.id, &Response::from(e)).is_ok(),
         };
-        match inline {
-            Some(response) => self.queue_write(slot, raw.id, &response).is_ok(),
-            None => true,
+        // Control requests bypass both the queue and the fault knobs: a
+        // saturated or faulty replica still answers its health probes
+        // truthfully, and warm-up adoption never constructs, so it
+        // cannot stall the event loop.
+        let request = match self.service.control(request) {
+            Ok(response) => return self.queue_write(slot, raw.id, &response).is_ok(),
+            Err(request) => request,
+        };
+        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return false;
+        };
+        if self.faults.should_drop(&mut conn.rng) {
+            // Sever without a reply: the peer observes a transport
+            // error mid-request.
+            return false;
         }
+        let delay = self.faults.delay();
+        if !delay.is_zero() {
+            // Park the request; `fire_delayed` submits it when due. The
+            // deadline clock starts at submission.
+            self.delayed.push(Delayed {
+                due: Instant::now() + delay,
+                slot,
+                generation: conn.generation,
+                id: raw.id,
+                request,
+            });
+        } else {
+            self.submit(slot, raw.id, request);
+        }
+        true
     }
 
     /// Hands a codec request to the service; the response comes back

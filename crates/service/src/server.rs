@@ -2,13 +2,15 @@
 //!
 //! ## Scheduling model
 //!
-//! Requests land in one bounded queue. Each of the `workers` batch
-//! threads repeatedly drains up to `max_batch` requests in one
+//! Codec requests land in one bounded queue. Each of the `workers`
+//! batch threads repeatedly drains up to `max_batch` requests in one
 //! *scheduling tick*, groups them by weight histogram, and runs **one**
-//! codebook construction per distinct histogram (cache misses only) —
-//! the batching regime where the paper's `n²/log n`-processor
-//! construction pays for itself: the `O(log² n)` critical path is paid
-//! once per histogram per tick, not once per request.
+//! codebook construction per distinct histogram (cache misses only), so
+//! a construction is paid once per histogram per tick, not once per
+//! request. Control requests (`Stats`, `Ping`, `Drain`, `WarmUp`,
+//! `HotSet`) never queue: every entry point — [`Service::submit`],
+//! [`Service::try_enqueue`] and the reactor — answers them inline
+//! through one function, `Service::control`.
 //!
 //! ## Backpressure
 //!
@@ -282,9 +284,18 @@ impl Service {
 
     /// Enqueues a request without waiting for the reply. `Err` carries
     /// the immediate response (`Busy` on a full queue, `Error` when
-    /// shutting down); `Ok` is the channel the reply will arrive on.
+    /// shutting down); `Ok` is the channel the reply will arrive on. A
+    /// control request never queues: its answer is already on the
+    /// channel when this returns.
     pub fn try_enqueue(&self, request: Request) -> Result<mpsc::Receiver<Response>, Response> {
         let (tx, rx) = mpsc::channel();
+        let request = match self.control(request) {
+            Ok(response) => {
+                let _ = tx.send(response);
+                return Ok(rx);
+            }
+            Err(request) => request,
+        };
         match self.enqueue(request, ReplySink::Channel(tx)) {
             Ok(()) => Ok(rx),
             Err((resp, _sink)) => Err(resp),
@@ -297,39 +308,41 @@ impl Service {
     /// answers all arrive through the same callback, so the caller has
     /// exactly one response per submission, always.
     pub(crate) fn submit_async(&self, request: Request, done: CompletionSink) {
-        match request {
-            Request::Stats => {
-                return done.complete(Response::Stats {
-                    json: self.stats_json(),
-                })
+        match self.control(request) {
+            Ok(response) => done.complete(response),
+            Err(request) => {
+                if let Err((resp, sink)) = self.enqueue(request, ReplySink::Callback(done)) {
+                    sink.deliver(resp);
+                }
             }
-            Request::Ping => {
-                return done.complete(Response::Pong {
-                    draining: self.is_draining(),
-                })
-            }
+        }
+    }
+
+    /// Answers a control request inline — the one place any entry point
+    /// does — or hands a codec request back for the batch queue.
+    /// Warm-up traffic is control-plane work too: adoption skips
+    /// construction entirely (`O(n log n)` canonicalization per entry),
+    /// so answering inline keeps it off the batch queue and ahead of any
+    /// encode backlog.
+    pub(crate) fn control(&self, request: Request) -> Result<Response, Request> {
+        Ok(match request {
+            Request::Stats => Response::Stats {
+                json: self.stats_json(),
+            },
+            Request::Ping => Response::Pong {
+                draining: self.is_draining(),
+            },
             Request::Drain => {
                 self.drain();
-                return done.complete(Response::DrainOk);
+                Response::DrainOk
             }
-            // Warm-up traffic is control-plane work: adoption skips
-            // construction entirely (`O(n log n)` canonicalization per
-            // entry), so answering inline keeps it off the batch queue
-            // and ahead of any encode backlog.
-            Request::WarmUp { entries } => {
-                return done.complete(self.warm_up(entries));
-            }
-            Request::HotSet { max } => {
-                return done.complete(self.hot_set(max));
-            }
-            Request::Encode { .. }
+            Request::WarmUp { entries } => self.warm_up(entries),
+            Request::HotSet { max } => self.hot_set(max),
+            codec @ (Request::Encode { .. }
             | Request::Decode { .. }
             | Request::EncodeDelta { .. }
-            | Request::DecodeDelta { .. } => {}
-        }
-        if let Err((resp, sink)) = self.enqueue(request, ReplySink::Callback(done)) {
-            sink.deliver(resp);
-        }
+            | Request::DecodeDelta { .. }) => return Err(codec),
+        })
     }
 
     /// Adopts donated codebooks into the cache (and tier-1 store, when
@@ -419,30 +432,8 @@ impl Service {
 
     /// Submits a request and blocks for its response: the codec result,
     /// `Busy` (not queued), `Timeout` (deadline missed), or `Error`.
-    /// `Stats` requests are answered inline and never queue.
+    /// Control requests are answered inline and never queue.
     pub fn submit(&self, request: Request) -> Response {
-        match request {
-            Request::Stats => {
-                return Response::Stats {
-                    json: self.stats_json(),
-                }
-            }
-            Request::Ping => {
-                return Response::Pong {
-                    draining: self.is_draining(),
-                }
-            }
-            Request::Drain => {
-                self.drain();
-                return Response::DrainOk;
-            }
-            Request::WarmUp { entries } => return self.warm_up(entries),
-            Request::HotSet { max } => return self.hot_set(max),
-            Request::Encode { .. }
-            | Request::Decode { .. }
-            | Request::EncodeDelta { .. }
-            | Request::DecodeDelta { .. } => {}
-        }
         let rx = match self.try_enqueue(request) {
             Ok(rx) => rx,
             Err(resp) => return resp,
@@ -567,8 +558,10 @@ fn batch_loop(inner: &Inner) {
     }
 }
 
-/// Groups a batch by histogram, constructs each codebook once, answers
-/// every request, and folds the tick's span tree into the metrics.
+/// Groups a batch of codec jobs by histogram, constructs each codebook
+/// once, answers every job, and folds the tick's span tree into the
+/// metrics. Only the four codec opcodes reach the queue: every entry
+/// point answers control requests inline through `Service::control`.
 fn process_batch(inner: &Inner, batch: Vec<Job>) {
     let m = &inner.metrics;
     // A job past its deadline has no audience — its submitter already
@@ -623,57 +616,7 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
                 deltas,
                 ..
             } => delta_group_key(*family, *base_key, deltas),
-            // Control requests are answered inline by `submit` and
-            // never queued; answer defensively anyway.
-            Request::Stats => {
-                respond(
-                    inner,
-                    job,
-                    Response::Stats {
-                        json: inner.metrics.snapshot(&inner.cache).to_json(),
-                    },
-                );
-                continue;
-            }
-            Request::Ping => {
-                let draining = inner.draining.load(Ordering::Acquire);
-                respond(inner, job, Response::Pong { draining });
-                continue;
-            }
-            Request::Drain => {
-                inner.draining.store(true, Ordering::Release);
-                inner.metrics.draining.store(1, Ordering::Relaxed);
-                respond(inner, job, Response::DrainOk);
-                continue;
-            }
-            Request::WarmUp { entries } => {
-                let mut accepted = 0u32;
-                let mut rejected = 0u32;
-                for e in entries {
-                    if inner.cache.adopt(&e.histogram, e.family, e.lengths.clone()) {
-                        accepted += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                }
-                respond(inner, job, Response::WarmedUp { accepted, rejected });
-                continue;
-            }
-            Request::HotSet { max } => {
-                let entries = inner
-                    .cache
-                    .hottest(*max as usize)
-                    .into_iter()
-                    .map(|h| WarmEntry {
-                        hits: h.hits,
-                        family: h.family,
-                        histogram: h.histogram,
-                        lengths: h.lengths,
-                    })
-                    .collect();
-                respond(inner, job, Response::HotSet { entries });
-                continue;
-            }
+            _ => unreachable!("control requests are answered inline"),
         };
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, jobs)) => jobs.push(job),
@@ -686,21 +629,17 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
         // Distinct histograms are independent: parallel siblings under
         // the tick (Brent: the tick's depth is the max over groups).
         let group_span = tick.par_span(&format!("histogram:{key:016x}"));
-        if matches!(
-            jobs[0].request,
-            Request::EncodeDelta { .. } | Request::DecodeDelta { .. }
-        ) {
-            process_delta_group(inner, &group_span, jobs);
-            continue;
-        }
-        let (histogram, family) = match &jobs[0].request {
+        let (family, histogram) = match &jobs[0].request {
             Request::Encode {
                 family, histogram, ..
             }
             | Request::Decode {
                 family, histogram, ..
-            } => (histogram.clone(), *family),
-            _ => unreachable!("control jobs answered above"),
+            } => (*family, histogram.clone()),
+            _ => {
+                process_delta_group(inner, &group_span, jobs);
+                continue;
+            }
         };
         let construct_span = group_span.span("construct");
         let book = inner.pool.install(|| {
@@ -708,35 +647,57 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
                 .cache
                 .get_or_build(&histogram, family, &construct_span)
         });
-        let book = match book {
-            Ok(book) => book,
-            Err(e) => {
-                m.errors.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                for job in jobs {
-                    respond(inner, job, Response::from(e.clone()));
-                }
-                continue;
-            }
-        };
-        for job in jobs {
-            let seq = job.seq;
-            let req_span = group_span.par_span(&format!("req:{seq}"));
-            let response = match &job.request {
-                Request::Encode { payload, .. } => match book.encode(payload) {
+        match book {
+            Ok(book) => answer_jobs(inner, &group_span, &book, None, jobs),
+            Err(e) => fail_jobs(inner, jobs, Response::from(e)),
+        }
+    }
+
+    let tick_cost = tick.aggregate();
+    m.work.fetch_add(tick_cost.work, Ordering::Relaxed);
+    m.depth.fetch_add(tick_cost.depth, Ordering::Relaxed);
+}
+
+/// Answers every job of one group from `book`: the payload coding, its
+/// counters, one parallel `req:…` span per job, and the response.
+/// `delta_path` is the delta group's [`DeltaPath`] tag: with it an
+/// encode answers `DeltaEncoded`, without it `Encoded`.
+fn answer_jobs(
+    inner: &Inner,
+    group_span: &CostTracer,
+    book: &Codebook,
+    delta_path: Option<u8>,
+    jobs: Vec<Job>,
+) {
+    let m = &inner.metrics;
+    for job in jobs {
+        let req_span = group_span.par_span(&format!("req:{}", job.seq));
+        let response = match &job.request {
+            Request::Encode { payload, .. } | Request::EncodeDelta { payload, .. } => {
+                match book.encode(payload) {
                     Ok((data, bit_len)) => {
                         m.encoded.fetch_add(1, Ordering::Relaxed);
                         m.bytes_in
                             .fetch_add(payload.len() as u64, Ordering::Relaxed);
                         m.bytes_out.fetch_add(data.len() as u64, Ordering::Relaxed);
                         req_span.step(bit_len);
-                        Response::Encoded { bit_len, data }
+                        match delta_path {
+                            Some(path) => Response::DeltaEncoded {
+                                path,
+                                bit_len,
+                                data,
+                            },
+                            None => Response::Encoded { bit_len, data },
+                        }
                     }
                     Err(e) => {
                         m.errors.fetch_add(1, Ordering::Relaxed);
                         Response::from(e)
                     }
-                },
-                Request::Decode { bit_len, data, .. } => match book.decode(data, *bit_len) {
+                }
+            }
+            Request::Decode { bit_len, data, .. } | Request::DecodeDelta { bit_len, data, .. } => {
+                match book.decode(data, *bit_len) {
                     Ok(payload) => {
                         m.decoded.fetch_add(1, Ordering::Relaxed);
                         m.bytes_in.fetch_add(data.len() as u64, Ordering::Relaxed);
@@ -749,16 +710,24 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
                         m.errors.fetch_add(1, Ordering::Relaxed);
                         Response::from(e)
                     }
-                },
-                _ => unreachable!("control jobs answered above"),
-            };
-            respond(inner, job, response);
-        }
+                }
+            }
+            _ => unreachable!("control requests are answered inline"),
+        };
+        respond(inner, job, response);
     }
+}
 
-    let tick_cost = tick.aggregate();
-    m.work.fetch_add(tick_cost.work, Ordering::Relaxed);
-    m.depth.fetch_add(tick_cost.depth, Ordering::Relaxed);
+/// Answers every job of a group that failed before any payload was
+/// coded, counting each as an error.
+fn fail_jobs(inner: &Inner, jobs: Vec<Job>, response: Response) {
+    inner
+        .metrics
+        .errors
+        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    for job in jobs {
+        respond(inner, job, response.clone());
+    }
 }
 
 /// Group key for delta jobs: FNV-1a over the family tag, the base key,
@@ -814,17 +783,12 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
         } => (*family, *base_key, deltas.clone()),
         _ => unreachable!("non-delta jobs never reach a delta group"),
     };
-    let fail = |jobs: Vec<Job>, response: Response| {
-        m.errors.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        for job in jobs {
-            respond(inner, job, response.clone());
-        }
-    };
 
     let Some(base) = inner.cache.lookup_key(base_key, family, None) else {
         m.delta_unknown_base
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        fail(
+        fail_jobs(
+            inner,
             jobs,
             Response::Error {
                 code: ErrorCode::UnknownBase,
@@ -836,7 +800,8 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
     let drifted_counts = match partree_delta::apply_sparse(base.histogram.counts(), &deltas) {
         Ok(counts) => counts,
         Err(e) => {
-            fail(
+            fail_jobs(
+                inner,
                 jobs,
                 Response::Error {
                     code: ErrorCode::Malformed,
@@ -849,7 +814,7 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
     let drifted_hist = match Histogram::new(drifted_counts) {
         Ok(h) => h,
         Err(e) => {
-            fail(jobs, Response::from(e));
+            fail_jobs(inner, jobs, Response::from(e));
             return;
         }
     };
@@ -878,7 +843,8 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
             let result = match result {
                 Ok(r) => r,
                 Err(e) => {
-                    fail(
+                    fail_jobs(
+                        inner,
                         jobs,
                         Response::Error {
                             code: ErrorCode::Internal,
@@ -902,53 +868,14 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
                 match Codebook::from_lengths(&drifted_hist, family, result.lengths, &delta_span) {
                     Ok(book) => book,
                     Err(e) => {
-                        fail(jobs, Response::from(e));
+                        fail_jobs(inner, jobs, Response::from(e));
                         return;
                     }
                 };
             (inner.cache.install(book), result.path.tag())
         }
     };
-    for job in jobs {
-        let seq = job.seq;
-        let req_span = group_span.par_span(&format!("req:{seq}"));
-        let response = match &job.request {
-            Request::EncodeDelta { payload, .. } => match book.encode(payload) {
-                Ok((data, bit_len)) => {
-                    m.encoded.fetch_add(1, Ordering::Relaxed);
-                    m.bytes_in
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    m.bytes_out.fetch_add(data.len() as u64, Ordering::Relaxed);
-                    req_span.step(bit_len);
-                    Response::DeltaEncoded {
-                        path: path_tag,
-                        bit_len,
-                        data,
-                    }
-                }
-                Err(e) => {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::from(e)
-                }
-            },
-            Request::DecodeDelta { bit_len, data, .. } => match book.decode(data, *bit_len) {
-                Ok(payload) => {
-                    m.decoded.fetch_add(1, Ordering::Relaxed);
-                    m.bytes_in.fetch_add(data.len() as u64, Ordering::Relaxed);
-                    m.bytes_out
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    req_span.step(*bit_len);
-                    Response::Decoded { payload }
-                }
-                Err(e) => {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::from(e)
-                }
-            },
-            _ => unreachable!("non-delta jobs never reach a delta group"),
-        };
-        respond(inner, job, response);
-    }
+    answer_jobs(inner, group_span, &book, Some(path_tag), jobs);
 }
 
 fn respond(inner: &Inner, job: Job, response: Response) {
@@ -1085,6 +1012,30 @@ mod tests {
         }
         assert_eq!(svc.metrics().busy, 1);
         assert_eq!(svc.shutdown(), 2, "pending jobs dropped at shutdown");
+    }
+
+    #[test]
+    fn control_requests_are_answered_at_once_on_a_paused_service() {
+        // Nothing drains the queue, so only an inline answer can arrive.
+        let svc = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        let rx = svc.try_enqueue(Request::Ping).expect("a reply channel");
+        match rx.try_recv() {
+            Ok(Response::Pong { draining: false }) => {}
+            other => panic!("expected an immediate Pong, got {other:?}"),
+        }
+        match svc
+            .try_enqueue(Request::HotSet { max: 4 })
+            .map(|rx| rx.try_recv())
+        {
+            Ok(Ok(Response::HotSet { entries })) => assert!(entries.is_empty()),
+            other => panic!("expected an immediate HotSet, got {other:?}"),
+        }
+        let m = svc.metrics();
+        assert_eq!(m.accepted, 0, "control requests never queue");
+        assert_eq!(svc.shutdown(), 0);
     }
 
     #[test]

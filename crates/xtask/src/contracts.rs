@@ -28,18 +28,25 @@
 //!   does not document. Anchored at the first read site.
 //! * `env-drift` — the README documents a `PARTREE_*` variable no code
 //!   reads. Anchored at the README line.
+//! * `unused-dependency` — an entry of a `crates/*/Cargo.toml`
+//!   `[dependencies]` table whose crate ident (`partree_trees` for
+//!   `partree-trees`) appears in no code line of that crate's `src/`
+//!   ahead of the file's `cfg(test)` module. A dependency only tests
+//!   use belongs in `[dev-dependencies]`. Anchored at the manifest
+//!   line.
 //!
 //! Findings accept the same in-place waiver as the lint pass:
 //! `// lint: allow(<rule>): <reason>` on the anchored line or the
 //! comment run directly above it (for Markdown anchors, on the same
-//! line).
+//! line; for manifest anchors, as a `#` comment on the same line or
+//! the `#` comment run directly above it).
 //!
 //! Like the lint pass this is line/token-based on purpose: the enum
 //! bodies and Markdown tables it parses are rigidly formatted in this
 //! codebase, and staying dependency-free keeps the pass runnable in the
 //! sealed container.
 
-use crate::lint::{annotated, code_of, waived, Finding};
+use crate::lint::{annotated, code_of, has_word, waived, Finding};
 use partree_exec::metrics::Counters;
 use partree_exec::ExecSnapshot;
 use partree_gateway::{GatewaySnapshot, ReplicaSnapshot};
@@ -404,6 +411,78 @@ pub fn check_env(
     out
 }
 
+/// The `[dependencies]` entries of a Cargo manifest as `(name, line)`
+/// pairs, `line` 0-based. Only the plain table counts: dev, build and
+/// target-specific tables do not link into the library.
+fn normal_deps(manifest: &str) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    let mut in_deps = false;
+    for (i, line) in manifest.lines().enumerate() {
+        let t = line.trim();
+        if t.starts_with('[') {
+            in_deps = t == "[dependencies]";
+            continue;
+        }
+        let name: String = t
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+            .collect();
+        if in_deps && !name.is_empty() {
+            out.push((name, i));
+        }
+    }
+    out
+}
+
+/// True if manifest line `i` or the run of `#` comment lines directly
+/// above it carries the `unused-dependency` waiver.
+fn manifest_waived(lines: &[&str], i: usize) -> bool {
+    let marker = "lint: allow(unused-dependency)";
+    lines[i].contains(marker)
+        || lines[..i]
+            .iter()
+            .rev()
+            .take_while(|l| l.trim_start().starts_with('#'))
+            .any(|l| l.contains(marker))
+}
+
+/// Flags `[dependencies]` entries of `manifest_src` whose crate ident
+/// no non-test code line of `sources` (the crate's `src/` files, as
+/// `(path, content)` pairs) mentions.
+pub fn check_unused_deps(
+    manifest_path: &str,
+    manifest_src: &str,
+    sources: &[(String, String)],
+) -> Vec<Finding> {
+    let code: Vec<&str> = sources
+        .iter()
+        .flat_map(|(_, src)| {
+            src.lines()
+                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                .map(code_of)
+        })
+        .collect();
+    let lines: Vec<&str> = manifest_src.lines().collect();
+    normal_deps(manifest_src)
+        .into_iter()
+        .filter(|(name, i)| {
+            let ident = name.replace('-', "_");
+            !code.iter().any(|l| has_word(l, &ident)) && !manifest_waived(&lines, *i)
+        })
+        .map(|(name, i)| Finding {
+            file: manifest_path.to_string(),
+            line: i + 1,
+            rule: "unused-dependency",
+            message: format!(
+                "`{name}` is a [dependencies] entry but no non-test code in \
+                 src/ names `{}`; delete it, or move it to \
+                 [dev-dependencies] if only tests use it",
+                name.replace('-', "_")
+            ),
+        })
+        .collect()
+}
+
 /// Runs every contract over the real tree under `root`.
 pub fn contracts_tree(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -445,6 +524,20 @@ pub fn contracts_tree(root: &Path) -> Vec<Finding> {
     if let Some(readme) = read("README.md", &mut findings) {
         let code_files = collect_sources(root, &mut findings, false);
         findings.extend(check_env("README.md", &readme, &code_files));
+    }
+
+    // Manifest dependencies vs what each crate's code names.
+    for (name, rel) in crate_manifests(root) {
+        if let Some(manifest) = read(&rel, &mut findings) {
+            let mut files = Vec::new();
+            collect_rs(&root.join("crates").join(&name).join("src"), &mut files);
+            files.sort();
+            let sources: Vec<(String, String)> = files
+                .iter()
+                .filter_map(|f| Some((f.display().to_string(), fs::read_to_string(f).ok()?)))
+                .collect();
+            findings.extend(check_unused_deps(&rel, &manifest, &sources));
+        }
     }
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -500,6 +593,24 @@ fn collect_sources(
             }),
         }
     }
+    out
+}
+
+/// `(crate dir name, repo-relative manifest path)` for every
+/// `crates/*/Cargo.toml`, sorted.
+fn crate_manifests(root: &Path) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            let rel = format!("crates/{name}/Cargo.toml");
+            (name, rel)
+        })
+        .collect();
+    out.sort();
     out
 }
 
@@ -730,5 +841,70 @@ mod tests {
         let readme =
             "`PARTREE_FUTURE=1` reserved. <!-- lint: allow(env-drift): ships next PR -->\n";
         assert!(check_env("README.md", readme, &[]).is_empty());
+    }
+
+    const MANIFEST: &str = "[package]\nname = \"partree-demo\"\n\n\
+                            [dependencies]\n\
+                            partree-core.workspace = true\n\
+                            partree-trees.workspace = true\n\
+                            rayon = { path = \"../../vendor/rayon\" }\n\n\
+                            [dev-dependencies]\n\
+                            proptest.workspace = true\n";
+
+    fn src(code: &str) -> Vec<(String, String)> {
+        vec![("crates/demo/src/lib.rs".to_string(), code.to_string())]
+    }
+
+    #[test]
+    fn used_dependencies_are_clean() {
+        let code = "use partree_core::Error;\nuse partree_trees::kraft;\n\
+                    fn f() { rayon::join(|| 1, || 2); }\n";
+        let found = check_unused_deps("crates/demo/Cargo.toml", MANIFEST, &src(code));
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn dependency_named_only_in_comments_or_tests_is_unused() {
+        let code = "use partree_core::Error;\n\
+                    // partree_trees would do this too\n\
+                    #[cfg(test)]\nmod tests {\n    use partree_trees::kraft;\n}\n";
+        let found = check_unused_deps("crates/demo/Cargo.toml", MANIFEST, &src(code));
+        let named: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.rule)).collect();
+        // partree-trees (line 6) and rayon (line 7); dev-dependencies
+        // are out of scope, so proptest is never flagged.
+        assert_eq!(
+            named,
+            vec![(6, "unused-dependency"), (7, "unused-dependency")]
+        );
+        assert!(
+            found[0].message.contains("`partree_trees`"),
+            "{}",
+            found[0].message
+        );
+    }
+
+    #[test]
+    fn ident_must_match_as_a_whole_word() {
+        let code = "use partree_core::Error;\nuse partree_trees_ext::x;\n\
+                    fn f() { my_rayon::go(); }\n";
+        let found = check_unused_deps("crates/demo/Cargo.toml", MANIFEST, &src(code));
+        assert_eq!(found.len(), 2, "{found:?}");
+    }
+
+    #[test]
+    fn unused_dependency_waiver_suppresses() {
+        let manifest = MANIFEST
+            .replace(
+                "partree-trees.workspace = true",
+                "# lint: allow(unused-dependency): linked for its #[no_mangle] symbols\n\
+                 partree-trees.workspace = true",
+            )
+            .replace(
+                "rayon = { path = \"../../vendor/rayon\" }",
+                "rayon = { path = \"../../vendor/rayon\" } # lint: allow(unused-dependency): feature unification",
+            );
+        let code = "use partree_core::Error;\n";
+        let found = check_unused_deps("crates/demo/Cargo.toml", &manifest, &src(code));
+        assert!(found.is_empty(), "{found:?}");
     }
 }

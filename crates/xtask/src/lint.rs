@@ -145,7 +145,7 @@ pub(crate) fn code_of(line: &str) -> &str {
 /// True if `needle` occurs in `hay` as a whole word (not embedded in a
 /// longer identifier, so `pop_fence_ordering(` does not count as
 /// `fence(`).
-fn has_word(hay: &str, needle: &str) -> bool {
+pub(crate) fn has_word(hay: &str, needle: &str) -> bool {
     let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut from = 0;
     while let Some(off) = hay[from..].find(needle) {

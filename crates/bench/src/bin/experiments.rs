@@ -696,8 +696,11 @@ fn e13() {
             }
         });
         let elapsed_ms = ms(t0);
-        let m = svc.metrics();
+        // A worker folds its tick's work/depth after answering the
+        // tick's jobs; shutdown joins the workers, so every fold has
+        // landed before the counters are read.
         svc.shutdown();
+        let m = svc.metrics();
         let reqs = m.encoded + m.decoded;
         println!(
             "{{\"experiment\":\"e13\",\"workers\":{workers},\"clients\":{clients},\

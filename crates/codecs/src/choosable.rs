@@ -39,9 +39,10 @@ use partree_pram::CostTracer;
 use std::collections::BTreeMap;
 
 /// Alphabet cap for the choosable-edge family: the exact DP is
-/// `poly(n)` with a real constant (~300 ms at 32 symbols in release
-/// even with branch-and-bound), so the family serves small-to-mid
-/// alphabets only and relies on the codebook cache for repeats.
+/// `poly(n)` with a real constant (~470 ms at 32 symbols in release on
+/// a 2-vCPU host, even with branch-and-bound), so the family serves
+/// small-to-mid alphabets only and relies on the codebook cache for
+/// repeats.
 pub const MAX_ALPHABET: usize = 32;
 
 /// The edge-length pair system. Each internal node assigns one pair to
@@ -51,15 +52,11 @@ pub const EDGE_PAIRS: [(u32, u32); 2] = [(1, 3), (2, 2)];
 /// `(m, a, b, c)`: leaves placed, open slots at the next three levels.
 type State = (u16, u16, u16, u16);
 
-/// Optimal choosable-edge code lengths for `counts`, in symbol order.
-pub fn choosable_lengths(counts: &[u32]) -> Result<Vec<u32>> {
-    choosable_lengths_traced(counts, &CostTracer::disabled())
-}
-
-/// [`choosable_lengths`] with tracing: a `sort` span for the
-/// weight ordering and a `level_dp` span whose depth is the number of
+/// Optimal choosable-edge code lengths for `counts`, in symbol order,
+/// traced: a `sort` span for the weight ordering and a `level_dp` span whose depth is the number of
 /// levels swept (states within a level expand independently — one
 /// PRAM round per level) and whose work is the transitions examined.
+/// The untraced entry point is `family(FamilyId::ChoosableEdge).lengths`.
 pub fn choosable_lengths_traced(counts: &[u32], tracer: &CostTracer) -> Result<Vec<u32>> {
     let n = counts.len();
     debug_assert!((2..=MAX_ALPHABET).contains(&n));
@@ -202,7 +199,12 @@ fn longest_edge() -> u32 {
 mod tests {
     use super::*;
     use crate::family::weighted_sum;
+    use crate::{family, FamilyId};
     use partree_trees::kraft::kraft_feasible;
+
+    fn choosable_lengths(counts: &[u32]) -> Result<Vec<u32>> {
+        family(FamilyId::ChoosableEdge).lengths(counts)
+    }
 
     #[test]
     fn two_symbols_pick_the_cheaper_pair() {

@@ -18,16 +18,13 @@
 use crate::two_queue::{ceil_log2, leaf_depths, merge, sorted_leaves};
 use partree_pram::CostTracer;
 
-/// Minimax code lengths for `counts`, in symbol order. The caller
-/// guarantees at least two symbols (family-layer validation).
-pub fn minimax_lengths(counts: &[u32]) -> Vec<u32> {
-    minimax_lengths_traced(counts, &CostTracer::disabled())
-}
-
-/// [`minimax_lengths`] with tracing: a `sort` span (the `⌈log₂ n⌉`
+/// Minimax code lengths for `counts`, in symbol order, traced: a `sort`
+/// span (the `⌈log₂ n⌉`
 /// PRAM merge-sort rounds it stands in for) and a `merge` span for the
 /// linear two-queue pass (`n − 1` merges; inherently sequential here,
-/// so work and depth are both `n − 1`).
+/// so work and depth are both `n − 1`). The caller guarantees at least
+/// two symbols (family-layer validation); the untraced entry point is
+/// `family(FamilyId::Minimax).lengths`.
 pub fn minimax_lengths_traced(counts: &[u32], tracer: &CostTracer) -> Vec<u32> {
     let n = counts.len();
     debug_assert!(n >= 2);
@@ -58,7 +55,12 @@ pub fn minimax_cost(counts: &[u32], lengths: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{family, FamilyId};
     use partree_trees::kraft::kraft_feasible;
+
+    fn minimax_lengths(counts: &[u32]) -> Vec<u32> {
+        family(FamilyId::Minimax).lengths(counts).unwrap()
+    }
 
     #[test]
     fn equal_weights_give_a_balanced_tree() {

@@ -114,6 +114,7 @@ pub fn choosable_optimal_cost(counts: &[u32], pairs: &[(u32, u32)]) -> u64 {
 mod tests {
     use super::*;
     use crate::choosable::EDGE_PAIRS;
+    use crate::FamilyId;
 
     #[test]
     fn unit_pair_multisets_are_classic_tree_profiles() {
@@ -148,13 +149,15 @@ mod tests {
     fn oracles_agree_with_the_fast_implementations() {
         let cases: [&[u32]; 4] = [&[9, 4, 2, 1], &[7, 7, 7], &[0, 3, 11], &[6, 5, 4, 3, 2, 1]];
         for counts in cases {
-            let l = crate::minimax::minimax_lengths(counts);
+            let l = crate::family(FamilyId::Minimax).lengths(counts).unwrap();
             assert_eq!(
                 crate::minimax::minimax_cost(counts, &l),
                 minimax_optimal_cost(counts),
                 "minimax {counts:?}"
             );
-            let l = crate::choosable::choosable_lengths(counts).unwrap();
+            let l = crate::family(FamilyId::ChoosableEdge)
+                .lengths(counts)
+                .unwrap();
             assert_eq!(
                 crate::family::weighted_sum(counts, &l),
                 choosable_optimal_cost(counts, &EDGE_PAIRS),

@@ -53,6 +53,8 @@
 //! counts hashing back to the key, lengths that realize a prefix code),
 //! and only a key derived from the request's own histogram may delete
 //! a record that fails it; a key a client supplied never does.
+//! [`CodebookCache::resident`] is the tier-0 probe alone, for a caller
+//! that answers a hit itself and queues anything else.
 
 use crate::frame::{ErrorCode, FrameError, Histogram};
 use partree_codecs::family::FAMILY_COUNT;
@@ -400,6 +402,16 @@ impl CodebookCache {
         self.family_constructions[family_id.index()].fetch_add(1, Ordering::Relaxed);
         let built = Codebook::build(histogram, family_id, tracer)?;
         Ok(self.admit(stamp, built).0)
+    }
+
+    /// The tier-0 resident for `(histogram, family_id)`, counted as a
+    /// hit — [`CodebookCache::get_or_build`]'s first step alone. A miss
+    /// counts nothing and builds nothing: the caller queues the request
+    /// and the batch worker's `get_or_build` counts the miss.
+    pub fn resident(&self, histogram: &Histogram, family_id: FamilyId) -> Option<Arc<Codebook>> {
+        let key = family_id.tagged_key(histogram.hash64());
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.probe(key, stamp, family_id, Some(histogram), true)
     }
 
     /// Resolves a codebook by its **tagged key alone** — the delta

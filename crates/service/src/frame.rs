@@ -14,7 +14,8 @@
 //!
 //! All integers are big-endian, written and read through the vendored
 //! [`bytes`] `BufMut`/`Buf` traits so the codec swaps onto the real
-//! crate unchanged. Body layouts:
+//! crate unchanged (only the fixed header is assembled as an array, so
+//! a response can patch it in once its body is written). Body layouts:
 //!
 //! | opcode | body |
 //! |---|---|
@@ -646,14 +647,14 @@ impl<'a> BodyReader<'a> {
     }
 }
 
-fn put_histogram(out: &mut BytesMut, h: &Histogram) {
+fn put_histogram(out: &mut impl BufMut, h: &Histogram) {
     out.put_u16(h.alphabet() as u16);
     for &c in h.counts() {
         out.put_u32(c);
     }
 }
 
-fn put_warm_entries(out: &mut BytesMut, entries: &[WarmEntry]) {
+fn put_warm_entries(out: &mut impl BufMut, entries: &[WarmEntry]) {
     out.put_u16(entries.len() as u16);
     for e in entries {
         out.put_u64(e.hits);
@@ -665,7 +666,7 @@ fn put_warm_entries(out: &mut BytesMut, entries: &[WarmEntry]) {
     }
 }
 
-fn put_deltas(out: &mut BytesMut, deltas: &[(u16, i32)]) {
+fn put_deltas(out: &mut impl BufMut, deltas: &[(u16, i32)]) {
     out.put_u16(deltas.len() as u16);
     for &(symbol, delta) in deltas {
         out.put_u16(symbol);
@@ -673,16 +674,23 @@ fn put_deltas(out: &mut BytesMut, deltas: &[(u16, i32)]) {
     }
 }
 
+/// The 16-byte frame header.
+fn header(id: u64, opcode: Opcode, body_len: usize) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..2].copy_from_slice(&MAGIC.to_be_bytes());
+    h[2] = VERSION;
+    h[3] = opcode as u8;
+    h[4..12].copy_from_slice(&id.to_be_bytes());
+    h[12..].copy_from_slice(&(body_len as u32).to_be_bytes());
+    h
+}
+
 /// Serializes one frame (header + body) into a byte vector.
 pub fn encode_frame(id: u64, opcode: Opcode, body: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-    out.put_u16(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(opcode as u8);
-    out.put_u64(id);
-    out.put_u32(body.len() as u32);
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    out.put_slice(&header(id, opcode, body.len()));
     out.put_slice(body);
-    out.into_vec()
+    out
 }
 
 /// Serializes a request frame.
@@ -754,51 +762,63 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     encode_frame(id, opcode, &body)
 }
 
-/// Serializes a response frame. Total over every [`Response`]: a body
-/// that would exceed [`MAX_BODY`] (e.g. an encode of a near-limit
-/// payload under a deeply skewed code, up to 255 bits per symbol) is
-/// replaced by an [`ErrorCode::ResultTooLarge`] error frame, because
-/// the peer's [`read_frame`] would reject the oversized frame and
-/// desynchronize the connection.
+/// Serializes a response frame into a new vector; see
+/// [`encode_response_into`].
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut body = BytesMut::new();
+    let mut out = Vec::new();
+    encode_response_into(&mut out, id, resp);
+    out
+}
+
+/// Appends a response frame to `out`, header and body written in place
+/// (the reactor appends straight onto a connection's write buffer).
+/// Total over every [`Response`]: a body that would exceed [`MAX_BODY`]
+/// (e.g. an encode of a near-limit payload under a deeply skewed code,
+/// up to 255 bits per symbol) is cut back off and replaced by an
+/// [`ErrorCode::ResultTooLarge`] error frame, because the peer's
+/// [`read_frame`] would reject the oversized frame and desynchronize
+/// the connection.
+pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
+    let start = out.len();
+    // The header is filled in once the body's opcode and length are known.
+    out.resize(start + HEADER_LEN, 0);
     let opcode = match resp {
         Response::Encoded { bit_len, data } => {
-            body.put_u64(*bit_len);
-            body.put_u32(data.len() as u32);
-            body.put_slice(data);
+            out.put_u64(*bit_len);
+            out.put_u32(data.len() as u32);
+            out.put_slice(data);
             Opcode::EncodeOk
         }
         Response::Decoded { payload } => {
-            body.put_u32(payload.len() as u32);
-            body.put_slice(payload);
+            out.put_u32(payload.len() as u32);
+            out.put_slice(payload);
             Opcode::DecodeOk
         }
         Response::Stats { json } => {
-            body.put_u32(json.len() as u32);
-            body.put_slice(json.as_bytes());
+            out.put_u32(json.len() as u32);
+            out.put_slice(json.as_bytes());
             Opcode::StatsOk
         }
         Response::Error { code, message } => {
             let msg = message.as_bytes();
             let take = msg.len().min(u16::MAX as usize);
-            body.put_u16(*code as u16);
-            body.put_u16(take as u16);
-            body.put_slice(&msg[..take]);
+            out.put_u16(*code as u16);
+            out.put_u16(take as u16);
+            out.put_slice(&msg[..take]);
             Opcode::Error
         }
         Response::Pong { draining } => {
-            body.put_u8(u8::from(*draining));
+            out.put_u8(u8::from(*draining));
             Opcode::Pong
         }
         Response::DrainOk => Opcode::DrainOk,
         Response::WarmedUp { accepted, rejected } => {
-            body.put_u32(*accepted);
-            body.put_u32(*rejected);
+            out.put_u32(*accepted);
+            out.put_u32(*rejected);
             Opcode::WarmUpOk
         }
         Response::HotSet { entries } => {
-            put_warm_entries(&mut body, entries);
+            put_warm_entries(out, entries);
             Opcode::HotSetOk
         }
         Response::DeltaEncoded {
@@ -806,28 +826,30 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             bit_len,
             data,
         } => {
-            body.put_u8(*path);
-            body.put_u64(*bit_len);
-            body.put_u32(data.len() as u32);
-            body.put_slice(data);
+            out.put_u8(*path);
+            out.put_u64(*bit_len);
+            out.put_u32(data.len() as u32);
+            out.put_slice(data);
             Opcode::DeltaOk
         }
         Response::Busy => Opcode::Busy,
         Response::Timeout => Opcode::Timeout,
     };
-    if body.len() > MAX_BODY as usize {
-        return encode_response(
+    let body_len = out.len() - start - HEADER_LEN;
+    if body_len > MAX_BODY as usize {
+        out.truncate(start);
+        return encode_response_into(
+            out,
             id,
             &Response::Error {
                 code: ErrorCode::ResultTooLarge,
                 message: format!(
-                    "response body of {} bytes exceeds the {MAX_BODY}-byte frame limit",
-                    body.len()
+                    "response body of {body_len} bytes exceeds the {MAX_BODY}-byte frame limit"
                 ),
             },
         );
     }
-    encode_frame(id, opcode, &body)
+    out[start..start + HEADER_LEN].copy_from_slice(&header(id, opcode, body_len));
 }
 
 /// The family an encode/decode request opcode selects. Only meaningful
@@ -1641,5 +1663,129 @@ mod tests {
         assert_eq!(a.hash64(), b.hash64());
         assert_ne!(a.hash64(), c.hash64());
         assert_eq!(Histogram::of_payload(3, &[0, 1, 1, 2, 2, 2]).unwrap(), a);
+    }
+
+    /// One response of every variant, ids 1.., plus a message past the
+    /// `u16` length field and a body past `MAX_BODY`.
+    fn every_response_variant() -> Vec<Response> {
+        vec![
+            Response::Encoded {
+                bit_len: 13,
+                data: vec![0xAB, 0xCD],
+            },
+            Response::Decoded {
+                payload: vec![0, 1, 1, 0],
+            },
+            Response::Stats {
+                json: "{\"accepted\":3}".into(),
+            },
+            Response::Error {
+                code: ErrorCode::SymbolOutOfRange,
+                message: "symbol 9 outside alphabet of 4".into(),
+            },
+            Response::Pong { draining: false },
+            Response::Pong { draining: true },
+            Response::DrainOk,
+            Response::WarmedUp {
+                accepted: 7,
+                rejected: 2,
+            },
+            Response::HotSet {
+                entries: vec![WarmEntry {
+                    hits: 1000,
+                    family: FamilyId::ShannonFano,
+                    histogram: hist(&[4, 2, 1, 1]),
+                    lengths: vec![1, 2, 3, 3],
+                }],
+            },
+            Response::DeltaEncoded {
+                path: 1,
+                bit_len: 9,
+                data: vec![0xFF, 0x80],
+            },
+            Response::Busy,
+            Response::Timeout,
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: "é".repeat(40_000),
+            },
+            Response::Decoded {
+                payload: vec![0x5A; MAX_BODY as usize],
+            },
+        ]
+    }
+
+    /// FNV-1a over a byte string: a compact golden for long frames.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn response_frames_match_their_golden_bytes_in_place_and_alone() {
+        // Captured from the body-then-header encoder this one replaced.
+        let golden: [(usize, &str); 12] = [
+            (
+                30,
+                "5054018100000000000000010000000e000000000000000d00000002abcd",
+            ),
+            (24, "505401820000000000000002000000080000000400010100"),
+            (
+                34,
+                "505401830000000000000003000000120000000e7b226163636570746564223a337d",
+            ),
+            (
+                50,
+                "505401e00000000000000004000000220003001e73796d626f6c2039206f757473696465\
+                 20616c706861626574206f662034",
+            ),
+            (17, "5054018400000000000000050000000100"),
+            (17, "5054018400000000000000060000000101"),
+            (16, "50540185000000000000000700000000"),
+            (24, "505401860000000000000008000000080000000700000002"),
+            (
+                49,
+                "50540187000000000000000900000021000100000000000003e8010004000000040000\
+                 0002000000010000000101020303",
+            ),
+            (
+                31,
+                "5054018e000000000000000a0000000f01000000000000000900000002ff80",
+            ),
+            (16, "505401e1000000000000000b00000000"),
+            (16, "505401e2000000000000000c00000000"),
+        ];
+        let truncated_message = (65_555, 0x4469_7670_09fc_6f0au64);
+        let too_large = "505401e0000000000000000e0000004900070045726573706f6e736520626f6479206f66\
+                         2031363737373232302062797465732065786365656473207468652031363737373231\
+                         362d62797465206672616d65206c696d6974";
+        let hex = |w: &[u8]| w.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        // One buffer carries every frame back to back, as a connection's
+        // write buffer does; each append must leave what precedes it.
+        let mut wire = vec![0xEE; 3];
+        for (i, resp) in every_response_variant().iter().enumerate() {
+            let id = i as u64 + 1;
+            let alone = encode_response(id, resp);
+            let start = wire.len();
+            encode_response_into(&mut wire, id, resp);
+            assert_eq!(
+                &wire[start..],
+                &alone[..],
+                "response {i}: in place vs alone"
+            );
+            match i {
+                0..=11 => {
+                    assert_eq!(alone.len(), golden[i].0, "response {i}");
+                    assert_eq!(hex(&alone), golden[i].1, "response {i}");
+                }
+                12 => assert_eq!((alone.len(), fnv(&alone)), truncated_message),
+                _ => assert_eq!(hex(&alone), too_large, "oversized body"),
+            }
+        }
+        assert_eq!(&wire[..3], &[0xEE; 3]);
+        let frames = decode_chunked(&wire[3..], 4096);
+        assert_eq!(frames.len(), 14);
+        assert!(frames.iter().zip(1..).all(|(f, id)| f.id == id));
     }
 }

@@ -20,7 +20,8 @@ partree_exec::counters! {
     /// as exported.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct MetricsSnapshot {
-        /// Requests accepted into the queue (encode + decode).
+        /// Codec requests accepted: queued, or answered at submission
+        /// (`inline_hits`).
         accepted,
         /// Encode requests completed successfully.
         encoded,
@@ -37,13 +38,18 @@ partree_exec::counters! {
         expired,
         /// Requests answered with an `Error` response.
         errors,
-        /// Scheduling ticks executed by batch workers.
+        /// Scheduling ticks executed by batch workers, plus one per
+        /// request answered at submission (a one-job tick).
         batches,
         /// Requests processed across all ticks (`batched_requests /
         /// batches` is the mean batch size — the amortization factor).
         batched_requests,
         /// Largest single batch observed.
         max_batch,
+        /// Tier-0 hits answered by the submitting thread while the
+        /// queue was empty, skipping the batch workers (each also counts
+        /// as a one-job tick above).
+        inline_hits,
         /// Codebook constructions actually performed. With no tier-1
         /// store this equals `cache_misses`; with one attached it is the
         /// misses tier 1 could not answer.

@@ -9,7 +9,10 @@
 //!   [`FrameDecoder`], so a frame split across arbitrary TCP segments
 //!   resumes where it left off;
 //! * decoded codec requests enter the service's bounded queue and
-//!   batch workers through [`Service::submit_async`];
+//!   batch workers through [`Service::submit_async`], except that a
+//!   small tier-0 hit arriving while the queue is empty is coded right
+//!   here, on the reactor thread, and its completion pushed onto this
+//!   reactor's own [`CompletionQueue`] while awake (no wake owed);
 //! * workers hand finished responses back through a
 //!   [`CompletionQueue`] and wake the reactor out of `epoll_wait` via
 //!   an `eventfd` [`mio::Waker`] — at most one wake syscall per
@@ -29,7 +32,9 @@
 //! (`Stats`/`Ping`/`Drain`) and warm-up frames are answered inline by
 //! `Service::control`, bypassing both faults and the queue.
 
-use crate::frame::{decode_request, encode_response, FrameDecoder, RawFrame, Request, Response};
+use crate::frame::{
+    decode_request, encode_response_into, FrameDecoder, RawFrame, Request, Response,
+};
 use crate::net::FaultInjection;
 use crate::server::{CompletionSink, Service};
 use crate::waker::CompletionQueue;
@@ -525,7 +530,7 @@ impl Reactor {
         let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
             return Ok(()); // connection already gone; nothing to say
         };
-        conn.out.extend_from_slice(&encode_response(id, response));
+        encode_response_into(&mut conn.out, id, response);
         flush(conn)?;
         if let Err(e) = check_write_cap(conn.out.len() - conn.written, self.write_cap) {
             self.service.note_write_overflow();

@@ -12,6 +12,16 @@
 //! [`Service::try_enqueue`] and the reactor — answers them inline
 //! through one function, `Service::control`.
 //!
+//! Hits are answered at submission when the service is idle: right
+//! after `control`, every entry point calls `Service::answer_hit`, and
+//! a plain `Encode`/`Decode` of at most `INLINE_PAYLOAD_MAX` bytes
+//! whose codebook is resident in tier 0 is coded by the submitting
+//! thread while the queue is empty. That skips the worker wake-up and
+//! the hand-off back, which cost more than the coding of a small warm
+//! request. A backlog, a miss, a large payload or a delta request
+//! still queues, so batching works as before whenever there is
+//! something to batch. Each such answer counts as a one-job tick.
+//!
 //! ## Backpressure
 //!
 //! The queue never grows past `queue_capacity`: a submit against a full
@@ -79,6 +89,14 @@ pub struct ServiceConfig {
     /// reads `PARTREE_DELTA_RATIO_PCT`.
     pub delta_ratio_pct: u32,
 }
+
+/// Largest payload, in bytes, that a submitting thread codes itself
+/// (the `Encode` payload or the `Decode` data). 64 KiB is about 0.3 ms
+/// of table coding on a 2-vCPU host: room for every warm request the
+/// benchmark sends (16 KiB), while one answer at submission holds the
+/// reactor's other connections back for well under a millisecond.
+/// Larger payloads queue.
+const INLINE_PAYLOAD_MAX: usize = 64 * 1024;
 
 /// Reads a `u32` environment knob, falling back to `default` when the
 /// variable is unset or unparseable.
@@ -296,7 +314,11 @@ impl Service {
             }
             Err(request) => request,
         };
-        match self.enqueue(request, ReplySink::Channel(tx)) {
+        let (request, reply) = match self.answer_hit(request, ReplySink::Channel(tx)) {
+            Ok(()) => return Ok(rx),
+            Err(back) => back,
+        };
+        match self.enqueue(request, reply) {
             Ok(()) => Ok(rx),
             Err((resp, _sink)) => Err(resp),
         }
@@ -308,13 +330,16 @@ impl Service {
     /// answers all arrive through the same callback, so the caller has
     /// exactly one response per submission, always.
     pub(crate) fn submit_async(&self, request: Request, done: CompletionSink) {
-        match self.control(request) {
-            Ok(response) => done.complete(response),
-            Err(request) => {
-                if let Err((resp, sink)) = self.enqueue(request, ReplySink::Callback(done)) {
-                    sink.deliver(resp);
-                }
-            }
+        let request = match self.control(request) {
+            Ok(response) => return done.complete(response),
+            Err(request) => request,
+        };
+        let (request, reply) = match self.answer_hit(request, ReplySink::Callback(done)) {
+            Ok(()) => return,
+            Err(back) => back,
+        };
+        if let Err((resp, sink)) = self.enqueue(request, reply) {
+            sink.deliver(resp);
         }
     }
 
@@ -376,6 +401,68 @@ impl Service {
             })
             .collect();
         Response::HotSet { entries }
+    }
+
+    /// Answers a tier-0 hit on the calling thread — the step every
+    /// entry point takes right after [`Service::control`] — or hands the
+    /// request back for the queue. It applies to a plain `Encode` or
+    /// `Decode` whose payload is at most [`INLINE_PAYLOAD_MAX`] bytes,
+    /// whose codebook is resident in tier 0, and only while the queue is
+    /// empty (its lock free) and the service is neither draining nor
+    /// stopping: a backlog still batches on the workers, and a miss or a
+    /// delta never runs here. The answer counts what a one-job tick counts, plus
+    /// `inline_hits`, and arrives through `reply` before this returns.
+    fn answer_hit(&self, request: Request, reply: ReplySink) -> Result<(), (Request, ReplySink)> {
+        let (family, histogram, bytes) = match &request {
+            Request::Encode {
+                family,
+                histogram,
+                payload,
+            } => (*family, histogram, payload.len()),
+            Request::Decode {
+                family,
+                histogram,
+                data,
+                ..
+            } => (*family, histogram, data.len()),
+            _ => return Err((request, reply)),
+        };
+        if bytes > INLINE_PAYLOAD_MAX || !self.idle() {
+            return Err((request, reply));
+        }
+        let start = Instant::now();
+        let Some(book) = self.inner.cache.resident(histogram, family) else {
+            return Err((request, reply));
+        };
+        let m = &self.inner.metrics;
+        m.accepted.fetch_add(1, Ordering::Relaxed);
+        m.family_requests[family.index()].fetch_add(1, Ordering::Relaxed);
+        count_tick(m, 1);
+        m.inline_hits.fetch_add(1, Ordering::Relaxed);
+        let (response, step) = code_payload(m, &book, None, &request);
+        // A one-job tick's span tree reduces to its one `req` step.
+        if let Some(work) = step {
+            m.work.fetch_add(work, Ordering::Relaxed);
+            m.depth.fetch_add(1, Ordering::Relaxed);
+        }
+        respond(m, start, reply, response);
+        Ok(())
+    }
+
+    /// True while nothing is queued and the service takes new work.
+    /// Read under the queue lock [`Service::enqueue`] takes, so it sees
+    /// the queue that a submission would join. A lock another thread
+    /// holds right now counts as a backlog: waiting for it cost cold
+    /// misses 3–6% of throughput on 2 vCPUs, and the request is about
+    /// to queue anyway (a poisoned lock queues too, and `enqueue`
+    /// reports it).
+    fn idle(&self) -> bool {
+        let Ok(queue) = self.inner.queue.try_lock() else {
+            return false;
+        };
+        queue.is_empty()
+            && !self.inner.stopping.load(Ordering::Acquire)
+            && !self.inner.draining.load(Ordering::Acquire)
     }
 
     /// The shared enqueue path behind [`Service::try_enqueue`] and
@@ -583,10 +670,7 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
     if batch.is_empty() {
         return;
     }
-    m.batches.fetch_add(1, Ordering::Relaxed);
-    m.batched_requests
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    raise_max(&m.max_batch, batch.len() as u64);
+    count_tick(m, batch.len());
 
     // Group jobs by the family-tagged histogram hash, preserving
     // arrival order within a group (stable drain order keeps
@@ -658,10 +742,15 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
     m.depth.fetch_add(tick_cost.depth, Ordering::Relaxed);
 }
 
-/// Answers every job of one group from `book`: the payload coding, its
-/// counters, one parallel `req:…` span per job, and the response.
-/// `delta_path` is the delta group's [`DeltaPath`] tag: with it an
-/// encode answers `DeltaEncoded`, without it `Encoded`.
+/// Counts one scheduling tick of `jobs` requests.
+fn count_tick(m: &Metrics, jobs: usize) {
+    m.batches.fetch_add(1, Ordering::Relaxed);
+    m.batched_requests.fetch_add(jobs as u64, Ordering::Relaxed);
+    raise_max(&m.max_batch, jobs as u64);
+}
+
+/// Answers every job of one group from `book`: the payload coding and
+/// its counters, one parallel `req:…` span per job, and the response.
 fn answer_jobs(
     inner: &Inner,
     group_span: &CostTracer,
@@ -672,49 +761,64 @@ fn answer_jobs(
     let m = &inner.metrics;
     for job in jobs {
         let req_span = group_span.par_span(&format!("req:{}", job.seq));
-        let response = match &job.request {
-            Request::Encode { payload, .. } | Request::EncodeDelta { payload, .. } => {
-                match book.encode(payload) {
-                    Ok((data, bit_len)) => {
-                        m.encoded.fetch_add(1, Ordering::Relaxed);
-                        m.bytes_in
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                        m.bytes_out.fetch_add(data.len() as u64, Ordering::Relaxed);
-                        req_span.step(bit_len);
-                        match delta_path {
-                            Some(path) => Response::DeltaEncoded {
-                                path,
-                                bit_len,
-                                data,
-                            },
-                            None => Response::Encoded { bit_len, data },
-                        }
-                    }
-                    Err(e) => {
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        Response::from(e)
-                    }
+        let (response, step) = code_payload(m, book, delta_path, &job.request);
+        if let Some(work) = step {
+            req_span.step(work);
+        }
+        respond(m, job.enqueued, job.reply, response);
+    }
+}
+
+/// Codes one codec request's payload with `book` and counts it. Returns
+/// the response and, when coding succeeded, the work of its one PRAM
+/// step (`bit_len`). `delta_path` is the delta group's [`DeltaPath`]
+/// tag: with it an encode answers `DeltaEncoded`, without it `Encoded`.
+fn code_payload(
+    m: &Metrics,
+    book: &Codebook,
+    delta_path: Option<u8>,
+    request: &Request,
+) -> (Response, Option<u64>) {
+    match request {
+        Request::Encode { payload, .. } | Request::EncodeDelta { payload, .. } => {
+            match book.encode(payload) {
+                Ok((data, bit_len)) => {
+                    m.encoded.fetch_add(1, Ordering::Relaxed);
+                    m.bytes_in
+                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    m.bytes_out.fetch_add(data.len() as u64, Ordering::Relaxed);
+                    let response = match delta_path {
+                        Some(path) => Response::DeltaEncoded {
+                            path,
+                            bit_len,
+                            data,
+                        },
+                        None => Response::Encoded { bit_len, data },
+                    };
+                    (response, Some(bit_len))
+                }
+                Err(e) => {
+                    m.errors.fetch_add(1, Ordering::Relaxed);
+                    (Response::from(e), None)
                 }
             }
-            Request::Decode { bit_len, data, .. } | Request::DecodeDelta { bit_len, data, .. } => {
-                match book.decode(data, *bit_len) {
-                    Ok(payload) => {
-                        m.decoded.fetch_add(1, Ordering::Relaxed);
-                        m.bytes_in.fetch_add(data.len() as u64, Ordering::Relaxed);
-                        m.bytes_out
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                        req_span.step(*bit_len);
-                        Response::Decoded { payload }
-                    }
-                    Err(e) => {
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        Response::from(e)
-                    }
+        }
+        Request::Decode { bit_len, data, .. } | Request::DecodeDelta { bit_len, data, .. } => {
+            match book.decode(data, *bit_len) {
+                Ok(payload) => {
+                    m.decoded.fetch_add(1, Ordering::Relaxed);
+                    m.bytes_in.fetch_add(data.len() as u64, Ordering::Relaxed);
+                    m.bytes_out
+                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    (Response::Decoded { payload }, Some(*bit_len))
+                }
+                Err(e) => {
+                    m.errors.fetch_add(1, Ordering::Relaxed);
+                    (Response::from(e), None)
                 }
             }
-            _ => unreachable!("control requests are answered inline"),
-        };
-        respond(inner, job, response);
+        }
+        _ => unreachable!("control requests are answered inline"),
     }
 }
 
@@ -726,7 +830,7 @@ fn fail_jobs(inner: &Inner, jobs: Vec<Job>, response: Response) {
         .errors
         .fetch_add(jobs.len() as u64, Ordering::Relaxed);
     for job in jobs {
-        respond(inner, job, response.clone());
+        respond(&inner.metrics, job.enqueued, job.reply, response.clone());
     }
 }
 
@@ -878,14 +982,12 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
     answer_jobs(inner, group_span, &book, Some(path_tag), jobs);
 }
 
-fn respond(inner: &Inner, job: Job, response: Response) {
-    let us = job.enqueued.elapsed().as_micros() as u64;
-    inner
-        .metrics
-        .latency_us_total
-        .fetch_add(us, Ordering::Relaxed);
-    raise_max(&inner.metrics.latency_us_max, us);
-    job.reply.deliver(response);
+/// Delivers one answer, counting its latency since `enqueued`.
+fn respond(m: &Metrics, enqueued: Instant, reply: ReplySink, response: Response) {
+    let us = enqueued.elapsed().as_micros() as u64;
+    m.latency_us_total.fetch_add(us, Ordering::Relaxed);
+    raise_max(&m.latency_us_max, us);
+    reply.deliver(response);
 }
 
 #[cfg(test)]
@@ -1036,6 +1138,215 @@ mod tests {
         let m = svc.metrics();
         assert_eq!(m.accepted, 0, "control requests never queue");
         assert_eq!(svc.shutdown(), 0);
+    }
+
+    /// A paused service (`workers: 0`: nothing drains the queue) whose
+    /// tier 0 holds the codebook of every `(family, counts)` pair,
+    /// adopted through `WarmUp` as a gateway warms a replacement.
+    fn paused_and_warm(books: &[(FamilyId, &[u32])]) -> Service {
+        let svc = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        let entries = books
+            .iter()
+            .map(|&(family, counts)| {
+                let book = Codebook::build(&hist(counts), family, &CostTracer::disabled()).unwrap();
+                WarmEntry {
+                    hits: 0,
+                    family,
+                    histogram: book.histogram.clone(),
+                    lengths: book.lengths.clone(),
+                }
+            })
+            .collect();
+        match svc.submit(Request::WarmUp { entries }) {
+            Response::WarmedUp { accepted, .. } => assert_eq!(accepted as usize, books.len()),
+            other => panic!("expected WarmedUp, got {other:?}"),
+        }
+        svc
+    }
+
+    #[test]
+    fn a_hit_answered_at_submission_matches_a_one_job_tick() {
+        let books: [(FamilyId, &[u32]); 2] = [
+            (FamilyId::Huffman, &[9, 5, 3, 1]),
+            (FamilyId::ShannonFano, &[2, 7, 7, 1, 4]),
+        ];
+        let ticked = paused_and_warm(&books);
+        let inline = paused_and_warm(&books);
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * i % 4) as u8).collect();
+        let mut served = 0u64;
+        for (family, counts) in books {
+            let (data, bit_len) = Codebook::build(&hist(counts), family, &CostTracer::disabled())
+                .and_then(|book| book.encode(&payload))
+                .unwrap();
+            let requests = [
+                Request::Encode {
+                    family,
+                    histogram: hist(counts),
+                    payload: payload.clone(),
+                },
+                Request::Decode {
+                    family,
+                    histogram: hist(counts),
+                    bit_len,
+                    data,
+                },
+                // Corrupt: the declared bit length overruns the buffer.
+                Request::Decode {
+                    family,
+                    histogram: hist(counts),
+                    bit_len: 9,
+                    data: vec![0xFF],
+                },
+                // A symbol outside the four-or-five-symbol alphabet.
+                Request::Encode {
+                    family,
+                    histogram: hist(counts),
+                    payload: vec![0, 9],
+                },
+            ];
+            for request in requests {
+                // What a worker does: take the queued job as a one-job tick.
+                let (tx, rx) = mpsc::channel();
+                assert!(ticked
+                    .enqueue(request.clone(), ReplySink::Channel(tx))
+                    .is_ok());
+                let job = ticked.inner.queue.lock().unwrap().pop_front().unwrap();
+                process_batch(&ticked.inner, vec![job]);
+                let by_tick = rx.try_recv().expect("a one-job tick answers at once");
+                let at_submission = inline
+                    .try_enqueue(request)
+                    .expect("a reply channel")
+                    .try_recv()
+                    .expect("a resident hit on an idle service answers at once");
+                assert_eq!(at_submission, by_tick, "{family}");
+                served += 1;
+            }
+        }
+        let (t, i) = (ticked.metrics(), inline.metrics());
+        assert_eq!((t.inline_hits, i.inline_hits), (0, served));
+        assert_eq!(i.depth, 2 * 2, "one PRAM step per coded payload");
+        // Latency is wall-clock, and the executor counters are
+        // process-wide (other tests share the pool).
+        let scrub = |m: MetricsSnapshot| MetricsSnapshot {
+            latency_us_total: 0,
+            latency_us_max: 0,
+            inline_hits: 0,
+            exec_steals: 0,
+            exec_parks: 0,
+            exec_injector_depth: 0,
+            exec_blocks: 0,
+            ..m
+        };
+        assert_eq!(scrub(i), scrub(t));
+        assert_eq!(ticked.shutdown(), 0);
+        assert_eq!(inline.shutdown(), 0);
+    }
+
+    #[test]
+    fn only_small_resident_hits_on_an_idle_queue_skip_it() {
+        let counts: &[u32] = &[5, 3, 1, 1];
+        let hit = || encode_req(counts, &[0, 1, 2, 3]);
+        let svc = paused_and_warm(&[(FamilyId::Huffman, counts)]);
+        match svc.try_enqueue(hit()).map(|rx| rx.try_recv()) {
+            Ok(Ok(Response::Encoded { .. })) => {}
+            other => panic!("expected an immediate Encoded, got {other:?}"),
+        }
+        let (tx, rx) = mpsc::channel();
+        svc.submit_async(
+            hit(),
+            CompletionSink::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        assert!(
+            matches!(rx.try_recv(), Ok(Response::Encoded { .. })),
+            "the callback ran before submit_async returned"
+        );
+        let m = svc.metrics();
+        assert_eq!((m.inline_hits, m.accepted, m.cache_hits), (2, 2, 2));
+        assert_eq!(svc.shutdown(), 0);
+
+        let key = FamilyId::Huffman.tagged_key(hist(counts).hash64());
+        let parked = [
+            encode_req(counts, &vec![0; INLINE_PAYLOAD_MAX + 1]),
+            Request::Decode {
+                family: FamilyId::Huffman,
+                histogram: hist(counts),
+                bit_len: 8,
+                data: vec![0; INLINE_PAYLOAD_MAX + 1],
+            },
+            encode_req(&[5, 3, 1, 2], &[0]),
+            Request::Encode {
+                family: FamilyId::Minimax,
+                histogram: hist(counts),
+                payload: vec![0],
+            },
+            Request::EncodeDelta {
+                family: FamilyId::Huffman,
+                base_key: key,
+                deltas: vec![],
+                payload: vec![0],
+            },
+            Request::DecodeDelta {
+                family: FamilyId::Huffman,
+                base_key: key,
+                deltas: vec![],
+                bit_len: 1,
+                data: vec![0],
+            },
+        ];
+        for request in parked {
+            let what = format!("{request:?}").chars().take(60).collect::<String>();
+            let svc = paused_and_warm(&[(FamilyId::Huffman, counts)]);
+            let rx = svc.try_enqueue(request).expect("queued");
+            assert!(rx.try_recv().is_err(), "{what}: parked, not answered");
+            // With a job queued, even a resident hit batches behind it.
+            let rx = svc.try_enqueue(hit()).expect("queued");
+            assert!(rx.try_recv().is_err(), "{what}: a hit joins the backlog");
+            let m = svc.metrics();
+            assert_eq!(
+                (m.inline_hits, m.accepted, m.cache_hits),
+                (0, 2, 0),
+                "{what}"
+            );
+            assert_eq!(svc.shutdown(), 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn draining_or_stopped_services_answer_no_hit_at_submission() {
+        let counts: &[u32] = &[5, 3, 1, 1];
+        let svc = paused_and_warm(&[(FamilyId::Huffman, counts)]);
+        assert!(matches!(svc.submit(Request::Drain), Response::DrainOk));
+        match svc.try_enqueue(encode_req(counts, &[0, 1])) {
+            Err(Response::Busy) => {}
+            other => panic!("expected Busy while draining, got {other:?}"),
+        }
+        let (tx, rx) = mpsc::channel();
+        svc.submit_async(
+            encode_req(counts, &[0, 1]),
+            CompletionSink::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        assert!(matches!(rx.try_recv(), Ok(Response::Busy)));
+        let m = svc.metrics();
+        assert_eq!((m.busy, m.inline_hits, m.cache_hits), (2, 0, 0));
+        svc.shutdown();
+
+        let svc = paused_and_warm(&[(FamilyId::Huffman, counts)]);
+        svc.shutdown();
+        match svc.submit(encode_req(counts, &[0, 1])) {
+            Response::Error {
+                code: ErrorCode::ShuttingDown,
+                ..
+            } => {}
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
+        assert_eq!(svc.metrics().inline_hits, 0);
     }
 
     #[test]

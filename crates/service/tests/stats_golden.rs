@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 /// Number of `u64` values a `MetricsSnapshot` carries (scalars plus the
 /// three four-family arrays).
-const VALUES: usize = 47;
+const VALUES: usize = 48;
 
 /// Fills every counter, in JSON key order, from `v`.
 fn snap_from(v: &[u64]) -> MetricsSnapshot {
@@ -26,50 +26,51 @@ fn snap_from(v: &[u64]) -> MetricsSnapshot {
         batches: v[7],
         batched_requests: v[8],
         max_batch: v[9],
-        constructions: v[10],
-        cache_hits: v[11],
-        cache_misses: v[12],
-        cache_evictions: v[13],
-        tier0_hits: v[14],
-        tier1_hits: v[15],
-        tier1_promotions: v[16],
-        store_errors: v[17],
-        warmup_accepted: v[18],
-        family_requests: arr(19),
-        family_hits: arr(23),
-        family_constructions: arr(27),
-        delta_requests: v[31],
-        delta_patched: v[32],
-        delta_fallbacks: v[33],
-        delta_unknown_base: v[34],
-        work: v[35],
-        depth: v[36],
-        bytes_in: v[37],
-        bytes_out: v[38],
-        latency_us_total: v[39],
-        latency_us_max: v[40],
-        draining: v[41],
-        write_overflows: v[42],
-        exec_steals: v[43],
-        exec_parks: v[44],
-        exec_injector_depth: v[45],
-        exec_blocks: v[46],
+        inline_hits: v[10],
+        constructions: v[11],
+        cache_hits: v[12],
+        cache_misses: v[13],
+        cache_evictions: v[14],
+        tier0_hits: v[15],
+        tier1_hits: v[16],
+        tier1_promotions: v[17],
+        store_errors: v[18],
+        warmup_accepted: v[19],
+        family_requests: arr(20),
+        family_hits: arr(24),
+        family_constructions: arr(28),
+        delta_requests: v[32],
+        delta_patched: v[33],
+        delta_fallbacks: v[34],
+        delta_unknown_base: v[35],
+        work: v[36],
+        depth: v[37],
+        bytes_in: v[38],
+        bytes_out: v[39],
+        latency_us_total: v[40],
+        latency_us_max: v[41],
+        draining: v[42],
+        write_overflows: v[43],
+        exec_steals: v[44],
+        exec_parks: v[45],
+        exec_injector_depth: v[46],
+        exec_blocks: v[47],
     }
 }
 
 const GOLDEN: &str = "{\"accepted\":1,\"encoded\":2,\"decoded\":3,\"busy\":4,\
 \"timeouts\":5,\"expired\":6,\"errors\":7,\"batches\":8,\"batched_requests\":9,\
-\"max_batch\":10,\"constructions\":11,\"cache_hits\":12,\"cache_misses\":13,\
-\"cache_evictions\":14,\"tier0_hits\":15,\"tier1_hits\":16,\"tier1_promotions\":17,\
-\"store_errors\":18,\"warmup_accepted\":19,\
-\"family_huffman_requests\":20,\"family_huffman_hits\":24,\"family_huffman_constructions\":28,\
-\"family_sf_requests\":21,\"family_sf_hits\":25,\"family_sf_constructions\":29,\
-\"family_minimax_requests\":22,\"family_minimax_hits\":26,\"family_minimax_constructions\":30,\
-\"family_choosable_requests\":23,\"family_choosable_hits\":27,\"family_choosable_constructions\":31,\
-\"delta_requests\":32,\"delta_patched\":33,\"delta_fallbacks\":34,\"delta_unknown_base\":35,\
-\"work\":36,\"depth\":37,\"bytes_in\":38,\"bytes_out\":39,\"latency_us_total\":40,\
-\"latency_us_max\":41,\"draining\":42,\"write_overflows\":43,\"exec_steals\":44,\
-\"exec_parks\":45,\"exec_injector_depth\":46,\"exec_blocks\":47}";
+\"max_batch\":10,\"inline_hits\":11,\"constructions\":12,\"cache_hits\":13,\"cache_misses\":14,\
+\"cache_evictions\":15,\"tier0_hits\":16,\"tier1_hits\":17,\"tier1_promotions\":18,\
+\"store_errors\":19,\"warmup_accepted\":20,\
+\"family_huffman_requests\":21,\"family_huffman_hits\":25,\"family_huffman_constructions\":29,\
+\"family_sf_requests\":22,\"family_sf_hits\":26,\"family_sf_constructions\":30,\
+\"family_minimax_requests\":23,\"family_minimax_hits\":27,\"family_minimax_constructions\":31,\
+\"family_choosable_requests\":24,\"family_choosable_hits\":28,\"family_choosable_constructions\":32,\
+\"delta_requests\":33,\"delta_patched\":34,\"delta_fallbacks\":35,\"delta_unknown_base\":36,\
+\"work\":37,\"depth\":38,\"bytes_in\":39,\"bytes_out\":40,\"latency_us_total\":41,\
+\"latency_us_max\":42,\"draining\":43,\"write_overflows\":44,\"exec_steals\":45,\
+\"exec_parks\":46,\"exec_injector_depth\":47,\"exec_blocks\":48}";
 
 #[test]
 fn metrics_snapshot_json_is_byte_exact() {

@@ -2,20 +2,24 @@
 //! one epoll thread.
 //!
 //! [`RpcClient::call`] hands a request to a single reactor thread that
-//! owns all sockets — non-blocking connects (`SO_ERROR` read once the
-//! socket polls writable), incremental frame decoding over partial
-//! reads, per-address idle pools capped at `pool_cap`, and a deadline
-//! sweep that turns stuck connects or replies into `TimedOut` errors.
-//! Data attempts use the callback form; the prober's health probes and
-//! warm-up transfers use [`RpcClient::call_blocking`], a channel bridge
-//! over the same call, so the gateway holds no blocking connections.
+//! owns all sockets on the connection core the replica's server runs
+//! on too ([`partree_service::conn`]: slot table, write path, frame
+//! reader, sleep handshake). What is left here is the client's policy:
+//! non-blocking connects (`SO_ERROR` read once the socket polls
+//! writable), per-address LIFO idle pools capped at `pool_cap`, and a
+//! deadline sweep that turns stuck connects or replies into `TimedOut`
+//! errors. Data attempts use the callback form; the prober's health
+//! probes and warm-up transfers use [`RpcClient::call_blocking`], a
+//! channel bridge over the same call, so the gateway holds no blocking
+//! connections.
 //!
 //! Each connection follows the blocking client's rules:
 //!
 //! * one outstanding request per connection — a connection is returned
 //!   to its idle pool only after a complete, id-matched response, and
 //!   discarded on **any** error (a mid-frame stream can never be
-//!   reused);
+//!   reused). Reading stops at the first complete frame, and bytes
+//!   after it are a protocol breach;
 //! * response ids must echo request ids, and undecodable responses
 //!   surface as `InvalidData`, the same classification the blocking
 //!   [`partree_service::client::Client`] makes;
@@ -31,13 +35,12 @@
 //! is the sleeping consumer, and at most one `eventfd` write is paid
 //! per reactor sleep.
 
-use partree_service::frame::{
-    decode_response, encode_request, FrameDecoder, RawFrame, Request, Response,
-};
+use partree_service::conn::Conns;
+use partree_service::frame::{decode_response, encode_request, RawFrame, Request, Response};
 use partree_service::waker::CompletionQueue;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -48,7 +51,6 @@ const FIRST_CONN: usize = 1;
 const EVENT_CAPACITY: usize = 256;
 /// Poll timeout ceiling; bounds deadline-sweep latency.
 const TICK: Duration = Duration::from_millis(50);
-const READ_CHUNK: usize = 16 * 1024;
 
 fn bad_data(e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
@@ -139,10 +141,8 @@ impl RpcClient {
             .name("gateway-rpc".into())
             .spawn(move || {
                 Loop {
-                    poll,
+                    conns: Conns::new(poll, FIRST_CONN),
                     shared: loop_shared,
-                    slots: Vec::new(),
-                    free: Vec::new(),
                     idle: HashMap::new(),
                     pool_cap,
                     next_id: 0,
@@ -257,7 +257,7 @@ struct Pending {
     done: CallSink,
 }
 
-enum State {
+enum Phase {
     /// Non-blocking connect in flight; the call is parked until the
     /// socket polls writable and `SO_ERROR` is read.
     Connecting { call: Call, give_up: Instant },
@@ -267,21 +267,26 @@ enum State {
     Idle,
 }
 
-struct Conn {
-    stream: TcpStream,
+impl Phase {
+    /// Completes the call this phase carries, if any, with `error`.
+    fn fail(self, error: io::Error) {
+        match self {
+            Phase::Connecting { call, .. } => call.done.complete(Err(error)),
+            Phase::Active { pending } => pending.done.complete(Err(error)),
+            Phase::Idle => {}
+        }
+    }
+}
+
+/// The client's state for one connection.
+struct Link {
     addr: SocketAddr,
-    decoder: FrameDecoder,
-    out: Vec<u8>,
-    written: usize,
-    interest: mio::Interest,
-    state: State,
+    phase: Phase,
 }
 
 struct Loop {
-    poll: mio::Poll,
+    conns: Conns<Link>,
     shared: Arc<Shared>,
-    slots: Vec<Option<Conn>>,
-    free: Vec<usize>,
     /// Idle slot indices per address (LIFO: most recently used first).
     idle: HashMap<SocketAddr, Vec<usize>>,
     pool_cap: usize,
@@ -292,49 +297,34 @@ impl Loop {
     fn run(mut self) -> io::Result<()> {
         let mut events = mio::Events::with_capacity(EVENT_CAPACITY);
         let mut inbox = Vec::new();
-        // Slots freed this iteration; reuse deferred past the current
-        // event batch so stale events cannot hit a recycled slot.
-        let mut freed = Vec::new();
         while !self.shared.stop.load(Ordering::Acquire) {
             self.shared.submits.drain(&mut inbox);
             for msg in inbox.drain(..) {
                 match msg {
-                    Msg::Call(call) => self.start_call(call, &mut freed),
-                    Msg::Purge(addr) => self.purge(addr, &mut freed),
+                    Msg::Call(call) => self.start_call(call),
+                    Msg::Purge(addr) => self.purge(addr),
                 }
             }
-            self.sweep_deadlines(&mut freed);
+            self.sweep_deadlines();
 
-            if self.shared.submits.try_sleep() {
-                let res = self.poll.poll(&mut events, Some(TICK));
-                self.shared.submits.wake_up();
-                res?;
-            } else {
-                self.poll.poll(&mut events, Some(Duration::ZERO))?;
-            }
+            self.conns.wait(&mut events, &self.shared.submits, TICK)?;
             for ev in events.iter() {
                 match ev.token() {
                     WAKER => self.shared.waker.drain(),
-                    mio::Token(t) => self.conn_event(t - FIRST_CONN, ev, &mut freed),
+                    mio::Token(t) => self.conn_event(t - FIRST_CONN, ev),
                 }
             }
-            self.free.append(&mut freed);
         }
         Ok(())
     }
 
     /// Routes a new call onto an idle connection or a fresh
     /// non-blocking connect.
-    fn start_call(&mut self, call: Call, freed: &mut Vec<usize>) {
+    fn start_call(&mut self, call: Call) {
         // Reuse the most recently idle connection to this address.
         while let Some(slot) = self.idle.get_mut(&call.addr).and_then(Vec::pop) {
-            let reusable = self
-                .slots
-                .get(slot)
-                .and_then(Option::as_ref)
-                .is_some_and(|c| matches!(c.state, State::Idle) && c.addr == call.addr);
-            if reusable {
-                self.activate(slot, call, freed);
+            if self.is_idle(slot, call.addr) {
+                self.activate(slot, call);
                 return;
             }
         }
@@ -342,172 +332,117 @@ impl Loop {
             Ok(s) => s,
             Err(e) => return call.done.complete(Err(e)),
         };
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        if let Err(e) = self.poll.register(
-            &stream,
-            mio::Token(FIRST_CONN + slot),
-            mio::Interest::WRITABLE,
-        ) {
-            self.free.push(slot);
-            return call.done.complete(Err(e));
+        let link = Link {
+            addr: call.addr,
+            phase: Phase::Connecting {
+                give_up: (Instant::now() + call.connect_timeout).min(call.deadline),
+                call,
+            },
+        };
+        if let Err((e, link)) = self.conns.insert(stream, mio::Interest::WRITABLE, link) {
+            link.phase.fail(e);
         }
-        let _ = stream.set_nodelay(true);
-        let give_up = (Instant::now() + call.connect_timeout).min(call.deadline);
-        let addr = call.addr;
-        self.slots[slot] = Some(Conn {
-            stream,
-            addr,
-            decoder: FrameDecoder::new(),
-            out: Vec::new(),
-            written: 0,
-            interest: mio::Interest::WRITABLE,
-            state: State::Connecting { call, give_up },
-        });
+    }
+
+    /// Whether `slot` holds an idle connection to `addr` (an idle-list
+    /// entry goes stale once its connection closes).
+    fn is_idle(&self, slot: usize, addr: SocketAddr) -> bool {
+        self.conns
+            .get(slot)
+            .is_some_and(|c| matches!(c.state.phase, Phase::Idle) && c.state.addr == addr)
     }
 
     /// Writes the request frame on a connected socket and arms the
     /// response wait.
-    fn activate(&mut self, slot: usize, call: Call, freed: &mut Vec<usize>) {
+    fn activate(&mut self, slot: usize, call: Call) {
         let id = self.next_id;
         self.next_id += 1;
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return call
                 .done
                 .complete(Err(io::Error::other("rpc slot vanished")));
         };
         conn.out
             .extend_from_slice(&encode_request(id, &call.request));
-        conn.state = State::Active {
+        conn.state.phase = Phase::Active {
             pending: Pending {
                 id,
                 deadline: call.deadline,
                 done: call.done,
             },
         };
-        if flush(conn).is_err() {
-            self.fail(slot, None, freed);
-            return;
-        }
-        if self.reconcile_interest(slot).is_err() {
-            self.fail(slot, None, freed);
+        if self.conns.flush(slot).is_err() {
+            self.fail(slot, None);
         }
     }
 
-    fn conn_event(&mut self, slot: usize, ev: mio::Event, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+    fn conn_event(&mut self, slot: usize, ev: mio::Event) {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return; // closed earlier in this same event batch
         };
-        match &conn.state {
-            State::Connecting { .. } => {
+        match &conn.state.phase {
+            Phase::Connecting { .. } => {
                 if !(ev.is_writable() || ev.is_error() || ev.is_read_closed()) {
                     return;
                 }
-                let connected = mio::net::take_error(&conn.stream);
-                let State::Connecting { call, .. } =
-                    std::mem::replace(&mut conn.state, State::Idle)
-                else {
-                    unreachable!("matched Connecting above");
-                };
-                match connected {
-                    Ok(()) => self.activate(slot, call, freed),
-                    Err(e) => {
-                        call.done.complete(Err(e));
-                        self.close(slot, freed);
-                    }
+                if let Err(e) = mio::net::take_error(&conn.stream) {
+                    return self.fail(slot, Some(e));
+                }
+                if let Phase::Connecting { call, .. } =
+                    std::mem::replace(&mut conn.state.phase, Phase::Idle)
+                {
+                    self.activate(slot, call);
                 }
             }
-            State::Active { .. } => {
-                if ev.is_writable() && flush(conn).is_err() {
-                    self.fail(slot, None, freed);
-                    return;
-                }
-                if ev.is_readable() {
-                    self.read_response(slot, freed);
-                } else if self.reconcile_interest(slot).is_err() {
-                    self.fail(slot, None, freed);
+            Phase::Active { .. } => {
+                if ev.is_writable() && self.conns.flush(slot).is_err() {
+                    self.fail(slot, None);
+                } else if ev.is_readable() {
+                    self.read_response(slot);
                 }
             }
-            State::Idle => {
+            Phase::Idle => {
                 // Any readiness on an idle connection means the peer
                 // closed it (or broke protocol): drop it and note the
                 // address for the prober. The idle-list entry goes
                 // stale and is skipped on pop.
-                let addr = conn.addr;
                 self.shared
                     .idle_lost
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .insert(addr);
-                self.close(slot, freed);
+                    .insert(conn.state.addr);
+                self.conns.close(slot);
             }
         }
     }
 
-    /// Drains readable bytes into the decoder; a completed, id-matched
-    /// frame finishes the call and returns the connection to the pool.
-    fn read_response(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        let mut frame: Option<RawFrame> = None;
-        let mut failure: Option<io::Error> = None;
-        let mut buf = [0u8; READ_CHUNK];
-        'reading: loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    failure = Some(bad_data("server closed the connection mid-request"));
-                    break;
-                }
-                Ok(n) => {
-                    let mut off = 0;
-                    while off < n {
-                        match conn.decoder.advance(&buf[off..n]) {
-                            Ok((used, done)) => {
-                                off += used;
-                                if let Some(f) = done {
-                                    if frame.replace(f).is_some() || off < n {
-                                        // A second frame (or trailing
-                                        // bytes) on a one-outstanding
-                                        // connection: protocol breach.
-                                        failure =
-                                            Some(bad_data("unexpected extra bytes after response"));
-                                    }
-                                    break 'reading;
-                                }
-                            }
-                            Err(e) => {
-                                failure = Some(e);
-                                break 'reading;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+    /// Reads up to the first complete frame; an id-matched one
+    /// finishes the call and returns the connection to the pool.
+    fn read_response(&mut self, slot: usize) {
+        let mut frames = Vec::with_capacity(1);
+        match self.conns.read(slot, usize::MAX, 1, &mut frames) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => self.fail(
+                slot,
+                Some(bad_data("server closed the connection mid-request")),
+            ),
+            Err(e) => self.fail(slot, Some(e)),
+            // Without a frame the reply is still mid-frame: keep waiting.
+            Ok(()) => {
+                if let Some(raw) = frames.pop() {
+                    self.finish_call(slot, raw);
                 }
             }
         }
-        if let Some(e) = failure {
-            self.fail(slot, Some(e), freed);
-            return;
-        }
-        let Some(raw) = frame else { return }; // mid-frame: keep waiting
-        self.finish_call(slot, raw, freed);
     }
 
-    fn finish_call(&mut self, slot: usize, raw: RawFrame, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+    fn finish_call(&mut self, slot: usize, raw: RawFrame) {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return;
         };
-        let State::Active { pending } = std::mem::replace(&mut conn.state, State::Idle) else {
+        let Phase::Active { pending } = std::mem::replace(&mut conn.state.phase, Phase::Idle)
+        else {
             // A response with no call outstanding: drop the connection.
-            self.close(slot, freed);
+            self.conns.close(slot);
             return;
         };
         if raw.id != pending.id {
@@ -515,61 +450,43 @@ impl Loop {
                 "response id {} does not echo request id {}",
                 raw.id, pending.id
             ))));
-            self.close(slot, freed);
+            self.conns.close(slot);
             return;
         }
+        let addr = conn.state.addr;
         pending
             .done
             .complete(decode_response(raw.opcode, &raw.body).map_err(bad_data));
-        self.checkin(slot, freed);
-    }
-
-    /// Returns a cleanly-answered connection to its address pool, or
-    /// closes it when the pool is full.
-    fn checkin(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        let addr = conn.addr;
-        if self.reconcile_interest(slot).is_err() {
-            self.close(slot, freed);
-            return;
-        }
+        // Check the cleanly-answered connection into its address pool,
+        // or close it when the pool is full.
         let pool = self.idle.entry(addr).or_default();
-        if pool.len() >= self.pool_cap {
-            self.close(slot, freed);
+        if pool.len() >= self.pool_cap || self.conns.flush(slot).is_err() {
+            self.conns.close(slot);
         } else {
             pool.push(slot);
         }
     }
 
-    /// Completes the connection's call (if any) with `error` — or a
-    /// generic transport error — and closes it.
-    fn fail(&mut self, slot: usize, error: Option<io::Error>, freed: &mut Vec<usize>) {
-        if let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) {
+    /// Closes the connection, completing its call (if any) with `error`
+    /// or a generic transport error.
+    fn fail(&mut self, slot: usize, error: Option<io::Error>) {
+        if let Some(conn) = self.conns.close(slot) {
             let e = error.unwrap_or_else(|| io::Error::other("rpc connection failed"));
-            match std::mem::replace(&mut conn.state, State::Idle) {
-                State::Connecting { call, .. } => call.done.complete(Err(e)),
-                State::Active { pending } => pending.done.complete(Err(e)),
-                State::Idle => {}
-            }
+            conn.state.phase.fail(e);
         }
-        self.close(slot, freed);
     }
 
     /// Times out stuck connects and overdue responses.
-    fn sweep_deadlines(&mut self, freed: &mut Vec<usize>) {
+    fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let overdue: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, entry)| {
-                let conn = entry.as_ref()?;
-                let due = match &conn.state {
-                    State::Connecting { call, give_up } => (*give_up).min(call.deadline),
-                    State::Active { pending } => pending.deadline,
-                    State::Idle => return None,
+            .conns
+            .iter_mut()
+            .filter_map(|(slot, conn)| {
+                let due = match &conn.state.phase {
+                    Phase::Connecting { call, give_up } => (*give_up).min(call.deadline),
+                    Phase::Active { pending } => pending.deadline,
+                    Phase::Idle => return None,
                 };
                 (due <= now).then_some(slot)
             })
@@ -581,68 +498,17 @@ impl Loop {
                     io::ErrorKind::TimedOut,
                     "rpc attempt missed its deadline",
                 )),
-                freed,
             );
         }
     }
 
-    fn purge(&mut self, addr: SocketAddr, freed: &mut Vec<usize>) {
+    fn purge(&mut self, addr: SocketAddr) {
         for slot in self.idle.remove(&addr).unwrap_or_default() {
-            let is_idle = self
-                .slots
-                .get(slot)
-                .and_then(Option::as_ref)
-                .is_some_and(|c| matches!(c.state, State::Idle) && c.addr == addr);
-            if is_idle {
-                self.close(slot, freed);
+            if self.is_idle(slot, addr) {
+                self.conns.close(slot);
             }
         }
     }
-
-    /// `WRITABLE` only while bytes are queued; `READABLE` always (an
-    /// idle or waiting connection must notice a peer close).
-    fn reconcile_interest(&mut self, slot: usize) -> io::Result<()> {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            return Ok(());
-        };
-        let want = if conn.written < conn.out.len() {
-            mio::Interest::READABLE.add(mio::Interest::WRITABLE)
-        } else {
-            mio::Interest::READABLE
-        };
-        if want != conn.interest {
-            self.poll
-                .reregister(&conn.stream, mio::Token(FIRST_CONN + slot), want)?;
-            conn.interest = want;
-        }
-        Ok(())
-    }
-
-    fn close(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        if let Some(conn) = self.slots.get_mut(slot).and_then(Option::take) {
-            let _ = self.poll.deregister(&conn.stream);
-            freed.push(slot);
-        }
-    }
-}
-
-/// Writes queued bytes until the socket would block or the buffer
-/// empties.
-fn flush(conn: &mut Conn) -> io::Result<()> {
-    while conn.written < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.written..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.written == conn.out.len() {
-        conn.out.clear();
-        conn.written = 0;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

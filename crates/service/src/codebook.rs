@@ -62,7 +62,7 @@ use partree_codecs::{family, FamilyId};
 use partree_codes::decoder::CanonicalDecoder;
 use partree_codes::encoder::CanonicalEncoder;
 use partree_codes::table::canonical_kernels;
-use partree_pram::{CostTracer, WorkDepth};
+use partree_pram::CostTracer;
 use partree_store::CodebookStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,8 +82,6 @@ pub struct Codebook {
     /// Code length per symbol, in symbol order, under the family's
     /// objective.
     pub lengths: Vec<u32>,
-    /// Work/depth spent constructing this codebook.
-    pub construction: WorkDepth,
     encoder: CanonicalEncoder,
     decoder: CanonicalDecoder,
 }
@@ -131,7 +129,6 @@ impl Codebook {
             family: family_id,
             histogram: histogram.clone(),
             lengths,
-            construction: tracer.aggregate(),
             encoder,
             decoder,
         })
@@ -177,7 +174,6 @@ impl Codebook {
             family: family_id,
             histogram: histogram.clone(),
             lengths,
-            construction: WorkDepth::default(),
             encoder,
             decoder,
         })
@@ -1052,9 +1048,9 @@ mod tests {
     fn construction_records_work_and_depth() {
         let h = hist(&[8, 4, 2, 1, 1]);
         let t = CostTracer::named("build");
-        let book = Codebook::build(&h, FamilyId::Huffman, &t).unwrap();
-        assert!(book.construction.work > 0);
-        assert!(book.construction.depth > 0);
+        Codebook::build(&h, FamilyId::Huffman, &t).unwrap();
+        assert!(t.aggregate().work > 0);
+        assert!(t.aggregate().depth > 0);
         assert!(t.snapshot().find("canonicalize").is_some());
     }
 

@@ -36,6 +36,9 @@
 //!   graceful shutdown;
 //! * [`net`] — [`net::Server`]: the loopback TCP front end, served by
 //!   one epoll reactor thread for every connection;
+//! * [`conn`] — [`conn::Conns`]: the connection core both epoll
+//!   reactors (this server's and the gateway's RPC client) run on —
+//!   slot table, write path, frame reader and sleep handshake;
 //! * [`client`] — [`client::Client`]: a blocking loopback client;
 //! * [`waker`] — the reactor's cross-thread wakeup handshake
 //!   ([`waker::CompletionQueue`]), model-checked under
@@ -82,6 +85,7 @@
 
 pub mod client;
 pub mod codebook;
+pub mod conn;
 pub mod frame;
 pub mod metrics;
 #[cfg(partree_model)]

@@ -8,10 +8,11 @@
 //!
 //! The property under test is lost-wakeup freedom, stated without any
 //! blocking call (the checker never parks): whenever the consumer's
-//! `try_sleep` commits — the moment the shipping reactor enters
-//! `epoll_wait` — every producer that publishes afterwards must get
-//! `push() == true`, i.e. must be told it owes the `eventfd` write
-//! that would lift the reactor out of `epoll_wait`. An interleaving
+//! `try_sleep` commits — the moment either shipping reactor enters
+//! `epoll_wait`, both through `conn::Conns::wait` — every producer
+//! that publishes afterwards must get `push() == true`, i.e. must be
+//! told it owes the `eventfd` write that would lift the reactor out of
+//! `epoll_wait`. An interleaving
 //! where the consumer committed and no producer was told to wake is
 //! exactly the lost-wakeup bug, and shows up here as an assert.
 

@@ -2,22 +2,23 @@
 //!
 //! A thread per connection would cost 10k stacks and 10k parked reads
 //! at 10k mostly-idle connections. This module serves them all from a
-//! single thread around a [`mio::Poll`]:
+//! single thread around a [`mio::Poll`], on the shared connection core
+//! ([`crate::conn`]: slot table, write path, frame reader, and the
+//! [`crate::waker`] sleep handshake, model-checked in `crate::model`).
+//! What is left here is the server's policy:
 //!
-//! * the listener and every connection are registered non-blocking;
-//! * partial reads feed each connection's incremental
-//!   [`FrameDecoder`], so a frame split across arbitrary TCP segments
-//!   resumes where it left off;
+//! * accept on the non-blocking listener; at most 4 reads per readable
+//!   event, and every decoded frame handled in order;
 //! * decoded codec requests enter the service's bounded queue and
 //!   batch workers through [`Service::submit_async`], except that a
 //!   small tier-0 hit arriving while the queue is empty is coded right
 //!   here, on the reactor thread, and its completion pushed onto this
 //!   reactor's own [`CompletionQueue`] while awake (no wake owed);
-//! * workers hand finished responses back through a
+//! * workers hand finished responses back through that
 //!   [`CompletionQueue`] and wake the reactor out of `epoll_wait` via
-//!   an `eventfd` [`mio::Waker`] — at most one wake syscall per
-//!   reactor sleep (the [`crate::waker`] handshake, model-checked in
-//!   [`crate::model`]).
+//!   an `eventfd` [`mio::Waker`], at most once per reactor sleep;
+//! * a per-connection write cap that severs a peer that stops reading
+//!   ([`WriteOverflow`]).
 //!
 //! Reply routing is guarded twice: completions carry the connection
 //! slot's *generation*, so a completion for a connection that died
@@ -32,15 +33,14 @@
 //! (`Stats`/`Ping`/`Drain`) and warm-up frames are answered inline by
 //! `Service::control`, bypassing both faults and the queue.
 
-use crate::frame::{
-    decode_request, encode_response_into, FrameDecoder, RawFrame, Request, Response,
-};
+use crate::conn::Conns;
+use crate::frame::{decode_request, encode_response_into, RawFrame, Request, Response};
 use crate::net::FaultInjection;
 use crate::server::{CompletionSink, Service};
 use crate::waker::CompletionQueue;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -55,8 +55,6 @@ const EVENT_CAPACITY: usize = 1024;
 /// Poll timeout ceiling: bounds deadline-sweep latency and makes the
 /// loop self-healing even if a wake were ever lost.
 const TICK: Duration = Duration::from_millis(100);
-/// Per-`read` scratch size.
-const READ_CHUNK: usize = 16 * 1024;
 /// Reads per readable event before yielding back to the poll loop
 /// (level-triggered registration re-announces leftover bytes).
 const READS_PER_EVENT: usize = 4;
@@ -64,7 +62,7 @@ const READS_PER_EVENT: usize = 4;
 const ACCEPTS_PER_EVENT: usize = 256;
 /// Default ceiling on unflushed response bytes queued per connection.
 /// A peer that stops reading while requests keep completing would
-/// otherwise grow `Conn::out` without bound — one slow consumer
+/// otherwise grow its out-buffer without bound — one slow consumer
 /// becoming the whole process's memory problem. Overridable via
 /// `PARTREE_WRITE_CAP_BYTES` (tests shrink it to trip deterministically).
 const DEFAULT_WRITE_CAP_BYTES: usize = 32 << 20;
@@ -164,15 +162,13 @@ pub(crate) fn spawn(
     let waker = Arc::new(Waker::new(&poll, WAKER)?);
     let stop = Arc::new(AtomicBool::new(false));
     let reactor = Reactor {
-        poll,
+        conns: Conns::new(poll, FIRST_CONN),
         listener,
         service,
         faults,
         stop: Arc::clone(&stop),
         waker: Arc::clone(&waker),
         completions: Arc::new(CompletionQueue::new()),
-        slots: Vec::new(),
-        free: Vec::new(),
         accepted: 0,
         next_generation: 0,
         delayed: Vec::new(),
@@ -191,14 +187,8 @@ pub(crate) fn spawn(
     })
 }
 
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Bytes queued for the peer; `written` of them are already sent.
-    out: Vec<u8>,
-    written: usize,
-    /// The interest currently registered with the poll.
-    interest: Interest,
+/// The server's state for one connection.
+struct Peer {
     /// Stamps completions/timers so slot reuse cannot misroute them.
     generation: u64,
     /// Fault-injection RNG, seeded from the accept index so a fault
@@ -209,15 +199,13 @@ struct Conn {
 }
 
 struct Reactor {
-    poll: Poll,
+    conns: Conns<Peer>,
     listener: TcpListener,
     service: Service,
     faults: Arc<FaultInjection>,
     stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
     completions: Arc<CompletionQueue<Completion>>,
-    slots: Vec<Option<Conn>>,
-    free: Vec<usize>,
     accepted: u64,
     next_generation: u64,
     delayed: Vec<Delayed>,
@@ -230,38 +218,23 @@ impl Reactor {
     fn run(mut self) -> io::Result<()> {
         let mut events = Events::with_capacity(EVENT_CAPACITY);
         let mut completed = Vec::new();
-        // Slots freed during this iteration. Reuse is deferred to the
-        // end of the loop: a poll batch may hold several events for one
-        // token, and a slot closed by the first must not be handed to a
-        // fresh accept while the second is still in the batch.
-        let mut freed = Vec::new();
         while !self.stop.load(Ordering::Acquire) {
             self.completions.drain(&mut completed);
             for c in completed.drain(..) {
-                self.deliver(c, &mut freed);
+                self.deliver(c);
             }
             self.fire_delayed();
-            self.sweep_deadlines(&mut freed);
+            self.sweep_deadlines();
 
             let timeout = self.next_timeout();
-            if self.completions.try_sleep() {
-                let res = self.poll.poll(&mut events, Some(timeout));
-                self.completions.wake_up();
-                res?;
-            } else {
-                // A completion landed since the drain above: poll
-                // without blocking, then loop around to re-drain.
-                self.poll.poll(&mut events, Some(Duration::ZERO))?;
-            }
-
+            self.conns.wait(&mut events, &self.completions, timeout)?;
             for ev in events.iter() {
                 match ev.token() {
                     WAKER => self.waker.drain(),
                     LISTENER => self.accept_ready(),
-                    Token(t) => self.conn_ready(t - FIRST_CONN, ev, &mut freed),
+                    Token(t) => self.conn_ready(t - FIRST_CONN, ev),
                 }
             }
-            self.free.append(&mut freed);
         }
         Ok(())
     }
@@ -293,7 +266,6 @@ impl Reactor {
     }
 
     fn install(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -301,89 +273,41 @@ impl Reactor {
         // schedule replays identically run to run.
         let rng = self.accepted.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         self.accepted += 1;
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        if self
-            .poll
-            .register(&stream, Token(FIRST_CONN + slot), Interest::READABLE)
-            .is_err()
-        {
-            self.free.push(slot);
-            return;
-        }
         self.next_generation += 1;
-        self.slots[slot] = Some(Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            out: Vec::new(),
-            written: 0,
-            interest: Interest::READABLE,
+        let peer = Peer {
             generation: self.next_generation,
             rng,
             pending: HashMap::new(),
-        });
+        };
+        let _ = self.conns.insert(stream, Interest::READABLE, peer);
     }
 
-    fn conn_ready(&mut self, slot: usize, ev: mio::Event, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            return; // closed earlier in this same event batch
-        };
-        if ev.is_writable() && flush(conn).is_err() {
-            self.close(slot, freed);
+    /// One readiness event: flush on WRITABLE, then up to
+    /// [`READS_PER_EVENT`] reads whose frames are handled in order. A
+    /// slot closed earlier in this batch is empty, so both are no-ops.
+    fn conn_ready(&mut self, slot: usize, ev: mio::Event) {
+        if ev.is_writable() && self.conns.flush(slot).is_err() {
+            self.conns.close(slot);
             return;
         }
         if !ev.is_readable() {
-            self.update_interest(slot, freed);
             return;
         }
         let mut frames = Vec::new();
-        let mut close = false;
-        let mut buf = [0u8; READ_CHUNK];
-        'reading: for _ in 0..READS_PER_EVENT {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    close = true; // EOF, clean or mid-frame
-                    break;
-                }
-                Ok(n) => {
-                    let mut off = 0;
-                    while off < n {
-                        match conn.decoder.advance(&buf[off..n]) {
-                            Ok((used, frame)) => {
-                                off += used;
-                                if let Some(f) = frame {
-                                    frames.push(f);
-                                }
-                            }
-                            Err(_) => {
-                                // Desynchronized stream: sever (no
-                                // in-protocol reply possible).
-                                close = true;
-                                break 'reading;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
-        }
+        // EOF, clean or mid-frame, a failed read, or a desynchronized
+        // stream: sever (no in-protocol reply possible).
+        let mut open = self
+            .conns
+            .read(slot, READS_PER_EVENT, usize::MAX, &mut frames)
+            .is_ok();
         for frame in frames {
-            if close {
+            if !open {
                 break;
             }
-            close = !self.handle_frame(slot, frame);
+            open = self.handle_frame(slot, frame);
         }
-        if close {
-            self.close(slot, freed);
-        } else {
-            self.update_interest(slot, freed);
+        if !open {
+            self.conns.close(slot);
         }
     }
 
@@ -402,10 +326,10 @@ impl Reactor {
             Ok(response) => return self.queue_write(slot, raw.id, &response).is_ok(),
             Err(request) => request,
         };
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return false;
         };
-        if self.faults.should_drop(&mut conn.rng) {
+        if self.faults.should_drop(&mut conn.state.rng) {
             // Sever without a reply: the peer observes a transport
             // error mid-request.
             return false;
@@ -417,7 +341,7 @@ impl Reactor {
             self.delayed.push(Delayed {
                 due: Instant::now() + delay,
                 slot,
-                generation: conn.generation,
+                generation: conn.state.generation,
                 id: raw.id,
                 request,
             });
@@ -430,11 +354,12 @@ impl Reactor {
     /// Hands a codec request to the service; the response comes back
     /// through the completion queue, stamped with slot + generation.
     fn submit(&mut self, slot: usize, id: u64, request: Request) {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return;
         };
-        let generation = conn.generation;
-        conn.pending
+        let generation = conn.state.generation;
+        conn.state
+            .pending
             .insert(id, Instant::now() + self.service.request_timeout());
         let completions = Arc::clone(&self.completions);
         let waker = Arc::clone(&self.waker);
@@ -458,15 +383,15 @@ impl Reactor {
     /// Routes one completion back to its connection, unless the
     /// connection died (generation mismatch) or the deadline sweep
     /// already answered this id.
-    fn deliver(&mut self, c: Completion, freed: &mut Vec<usize>) {
-        let Some(conn) = self.slots.get_mut(c.slot).and_then(Option::as_mut) else {
+    fn deliver(&mut self, c: Completion) {
+        let Some(conn) = self.conns.get_mut(c.slot) else {
             return;
         };
-        if conn.generation != c.generation || conn.pending.remove(&c.id).is_none() {
+        if conn.state.generation != c.generation || conn.state.pending.remove(&c.id).is_none() {
             return;
         }
         if self.queue_write(c.slot, c.id, &c.response).is_err() {
-            self.close(c.slot, freed);
+            self.conns.close(c.slot);
         }
     }
 
@@ -481,10 +406,9 @@ impl Reactor {
             }
             let d = self.delayed.swap_remove(i);
             let live = self
-                .slots
+                .conns
                 .get(d.slot)
-                .and_then(Option::as_ref)
-                .is_some_and(|c| c.generation == d.generation);
+                .is_some_and(|c| c.state.generation == d.generation);
             if live {
                 self.submit(d.slot, d.id, d.request);
             }
@@ -494,30 +418,29 @@ impl Reactor {
     /// Answers `Timeout` on the wire for in-flight requests past their
     /// deadline; their late completions are then discarded by
     /// [`Reactor::deliver`]. Runs at most every `TICK / 2`.
-    fn sweep_deadlines(&mut self, freed: &mut Vec<usize>) {
+    fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         if now < self.next_sweep {
             return;
         }
         self.next_sweep = now + TICK / 2;
         let mut expired: Vec<(usize, u64)> = Vec::new();
-        for (slot, entry) in self.slots.iter_mut().enumerate() {
-            let Some(conn) = entry.as_mut() else { continue };
-            let dead: Vec<u64> = conn
-                .pending
+        for (slot, conn) in self.conns.iter_mut() {
+            let pending = &mut conn.state.pending;
+            let dead: Vec<u64> = pending
                 .iter()
                 .filter(|&(_, &deadline)| deadline <= now)
                 .map(|(&id, _)| id)
                 .collect();
             for id in dead {
-                conn.pending.remove(&id);
+                pending.remove(&id);
                 expired.push((slot, id));
             }
         }
         for (slot, id) in expired {
             self.service.note_timeout();
             if self.queue_write(slot, id, &Response::Timeout).is_err() {
-                self.close(slot, freed);
+                self.conns.close(slot);
             }
         }
     }
@@ -527,72 +450,13 @@ impl Reactor {
     /// connection (typed [`WriteOverflow`] error) if the peer's unread
     /// backlog exceeds the write cap even after flushing.
     fn queue_write(&mut self, slot: usize, id: u64, response: &Response) -> io::Result<()> {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conns.get_mut(slot) else {
             return Ok(()); // connection already gone; nothing to say
         };
         encode_response_into(&mut conn.out, id, response);
-        flush(conn)?;
-        if let Err(e) = check_write_cap(conn.out.len() - conn.written, self.write_cap) {
-            self.service.note_write_overflow();
-            return Err(e);
-        }
-        self.reconcile_interest(slot)
+        let queued = self.conns.flush(slot)?;
+        check_write_cap(queued, self.write_cap).inspect_err(|_| self.service.note_write_overflow())
     }
-
-    /// Re-registers the connection with `READABLE | WRITABLE` while
-    /// bytes are queued and back to `READABLE` once drained — a
-    /// level-triggered WRITABLE with nothing to write would hot-spin.
-    fn reconcile_interest(&mut self, slot: usize) -> io::Result<()> {
-        let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            return Ok(());
-        };
-        let want = if conn.written < conn.out.len() {
-            Interest::READABLE.add(Interest::WRITABLE)
-        } else {
-            Interest::READABLE
-        };
-        if want != conn.interest {
-            self.poll
-                .reregister(&conn.stream, Token(FIRST_CONN + slot), want)?;
-            conn.interest = want;
-        }
-        Ok(())
-    }
-
-    fn update_interest(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        if self.reconcile_interest(slot).is_err() {
-            self.close(slot, freed);
-        }
-    }
-
-    fn close(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        if let Some(conn) = self.slots.get_mut(slot).and_then(Option::take) {
-            // Dropping the stream closes the fd (which also removes the
-            // epoll registration); the explicit deregister keeps the
-            // bookkeeping symmetrical and costs one no-op-able syscall.
-            let _ = self.poll.deregister(&conn.stream);
-            freed.push(slot);
-        }
-    }
-}
-
-/// Writes queued bytes until the socket would block or the buffer
-/// empties. `Ok` with leftover bytes means "wait for WRITABLE".
-fn flush(conn: &mut Conn) -> io::Result<()> {
-    while conn.written < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.written..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.written == conn.out.len() {
-        conn.out.clear();
-        conn.written = 0;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -32,11 +32,15 @@
 //!
 //! ## Observability
 //!
-//! Every tick builds a [`CostTracer`] span tree: one parallel group of
-//! `histogram:…` spans (independent alphabets are PRAM-parallel), each
-//! holding the construction spans of a cache miss plus one parallel
-//! `req:…` span per request. The aggregate work/depth folds into the
-//! service [`Metrics`], exported as JSON via [`Service::stats_json`].
+//! Every tick counts its PRAM work and depth into the service
+//! [`Metrics`], exported as JSON via [`Service::stats_json`]. Groups are
+//! independent alphabets, so they run in parallel: a group's work is
+//! its construction's (traced under one [`CostTracer`] per group) plus
+//! the `bit_len` of every coded payload, its depth is the
+//! construction's plus one step if any payload was coded, and the
+//! tick's depth is the max over its groups. Both are counted before the
+//! response they account for leaves, so whoever holds a tick's last
+//! answer also sees its cost.
 
 use crate::codebook::{Codebook, CodebookCache};
 use crate::frame::{ErrorCode, Histogram, Request, Response, WarmEntry};
@@ -47,7 +51,7 @@ use partree_exec::metrics::raise_max;
 use partree_pram::CostTracer;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -203,7 +207,6 @@ impl std::fmt::Debug for CompletionSink {
 }
 
 struct Job {
-    seq: u64,
     request: Request,
     enqueued: Instant,
     reply: ReplySink,
@@ -215,7 +218,6 @@ struct Inner {
     wake: Condvar,
     stopping: AtomicBool,
     draining: AtomicBool,
-    next_seq: AtomicU64,
     cache: CodebookCache,
     delta_cfg: DeltaConfig,
     metrics: Metrics,
@@ -277,7 +279,6 @@ impl Service {
             wake: Condvar::new(),
             stopping: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            next_seq: AtomicU64::new(0),
             metrics: Metrics::default(),
             pool,
             workers: Mutex::new(Vec::new()),
@@ -440,10 +441,9 @@ impl Service {
         count_tick(m, 1);
         m.inline_hits.fetch_add(1, Ordering::Relaxed);
         let (response, step) = code_payload(m, &book, None, &request);
-        // A one-job tick's span tree reduces to its one `req` step.
+        // A one-job tick's cost is its one coding step.
         if let Some(work) = step {
-            m.work.fetch_add(work, Ordering::Relaxed);
-            m.depth.fetch_add(1, Ordering::Relaxed);
+            TickCost::new(m).charge(work, 1);
         }
         respond(m, start, reply, response);
         Ok(())
@@ -503,7 +503,6 @@ impl Service {
                 return Err((Response::Busy, reply));
             }
             queue.push_back(Job {
-                seq: self.inner.next_seq.fetch_add(1, Ordering::Relaxed),
                 request,
                 enqueued: Instant::now(),
                 reply,
@@ -646,9 +645,9 @@ fn batch_loop(inner: &Inner) {
 }
 
 /// Groups a batch of codec jobs by histogram, constructs each codebook
-/// once, answers every job, and folds the tick's span tree into the
-/// metrics. Only the four codec opcodes reach the queue: every entry
-/// point answers control requests inline through `Service::control`.
+/// once, answers every job, and counts the tick's work and depth. Only
+/// the four codec opcodes reach the queue: every entry point answers
+/// control requests inline through `Service::control`.
 fn process_batch(inner: &Inner, batch: Vec<Job>) {
     let m = &inner.metrics;
     // A job past its deadline has no audience — its submitter already
@@ -708,11 +707,8 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
         }
     }
 
-    let tick = CostTracer::named("batch");
-    for (key, jobs) in groups {
-        // Distinct histograms are independent: parallel siblings under
-        // the tick (Brent: the tick's depth is the max over groups).
-        let group_span = tick.par_span(&format!("histogram:{key:016x}"));
+    let mut tick = TickCost::new(m);
+    for (_, jobs) in groups {
         let (family, histogram) = match &jobs[0].request {
             Request::Encode {
                 family, histogram, ..
@@ -721,25 +717,48 @@ fn process_batch(inner: &Inner, batch: Vec<Job>) {
                 family, histogram, ..
             } => (*family, histogram.clone()),
             _ => {
-                process_delta_group(inner, &group_span, jobs);
+                process_delta_group(inner, &mut tick, jobs);
                 continue;
             }
         };
-        let construct_span = group_span.span("construct");
-        let book = inner.pool.install(|| {
-            inner
-                .cache
-                .get_or_build(&histogram, family, &construct_span)
-        });
+        // Only a construction records spans; a hit leaves this empty.
+        let construct = CostTracer::named("construct");
+        let book = inner
+            .pool
+            .install(|| inner.cache.get_or_build(&histogram, family, &construct));
+        let built = construct.aggregate();
+        tick.charge(built.work, built.depth);
         match book {
-            Ok(book) => answer_jobs(inner, &group_span, &book, None, jobs),
+            Ok(book) => answer_jobs(inner, &mut tick, built.depth, &book, None, jobs),
             Err(e) => fail_jobs(inner, jobs, Response::from(e)),
         }
     }
+}
 
-    let tick_cost = tick.aggregate();
-    m.work.fetch_add(tick_cost.work, Ordering::Relaxed);
-    m.depth.fetch_add(tick_cost.depth, Ordering::Relaxed);
+/// A tick's PRAM cost, counted into the metrics as the tick runs. Work
+/// adds up; depth is the max over the tick's parallel groups, so the
+/// metrics gain only its rise over the running max.
+struct TickCost<'a> {
+    m: &'a Metrics,
+    depth: u64,
+}
+
+impl TickCost<'_> {
+    fn new(m: &Metrics) -> TickCost<'_> {
+        TickCost { m, depth: 0 }
+    }
+
+    /// Adds `work` and raises the tick's depth to `depth`. Called
+    /// before the response it accounts for is delivered.
+    fn charge(&mut self, work: u64, depth: u64) {
+        self.m.work.fetch_add(work, Ordering::Relaxed);
+        if depth > self.depth {
+            self.m
+                .depth
+                .fetch_add(depth - self.depth, Ordering::Relaxed);
+            self.depth = depth;
+        }
+    }
 }
 
 /// Counts one scheduling tick of `jobs` requests.
@@ -749,21 +768,23 @@ fn count_tick(m: &Metrics, jobs: usize) {
     raise_max(&m.max_batch, jobs as u64);
 }
 
-/// Answers every job of one group from `book`: the payload coding and
-/// its counters, one parallel `req:…` span per job, and the response.
+/// Answers every job of one group from `book`, whose construction took
+/// `built_depth` steps: the payload coding and its counters, its cost,
+/// and the response. The jobs' coding steps run in parallel, so a
+/// coded payload takes the group to depth `built_depth + 1`.
 fn answer_jobs(
     inner: &Inner,
-    group_span: &CostTracer,
+    tick: &mut TickCost,
+    built_depth: u64,
     book: &Codebook,
     delta_path: Option<u8>,
     jobs: Vec<Job>,
 ) {
     let m = &inner.metrics;
     for job in jobs {
-        let req_span = group_span.par_span(&format!("req:{}", job.seq));
         let (response, step) = code_payload(m, book, delta_path, &job.request);
         if let Some(work) = step {
-            req_span.step(work);
+            tick.charge(work, built_depth + 1);
         }
         respond(m, job.enqueued, job.reply, response);
     }
@@ -868,7 +889,7 @@ fn delta_group_key(family: FamilyId, base_key: u64, deltas: &[(u16, i32)]) -> u6
 /// build of the drifted histogram — [`partree_delta::apply`]'s
 /// contract — so a later plain `Encode` of the same histogram shares
 /// the cache entry installed here.
-fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
+fn process_delta_group(inner: &Inner, tick: &mut TickCost, jobs: Vec<Job>) {
     let m = &inner.metrics;
     m.delta_requests
         .fetch_add(jobs.len() as u64, Ordering::Relaxed);
@@ -927,6 +948,7 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
     // path — no engine work runs at all. Otherwise the engine decides
     // patch vs rebuild on the worker pool and the result is installed
     // under the drifted key.
+    let mut built_depth = 0;
     let (book, path_tag) = match inner.cache.lookup_key(new_key, family, Some(&drifted_hist)) {
         Some(book) => {
             m.delta_patched
@@ -934,7 +956,6 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
             (book, DeltaPath::Patched.tag())
         }
         None => {
-            let delta_span = group_span.span("delta");
             let result = inner.pool.install(|| {
                 partree_delta::apply(
                     family,
@@ -963,23 +984,27 @@ fn process_delta_group(inner: &Inner, group_span: &CostTracer, jobs: Vec<Job>) {
                 DeltaPath::Rebuilt => &m.delta_fallbacks,
             };
             counter.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            // Charge the work model of the path that actually ran.
+            // One step charged the work model of the path that actually
+            // ran, then the codebook's realization.
+            let delta_span = CostTracer::named("delta");
             delta_span.step(match result.path {
                 DeltaPath::Patched => result.patch_work,
                 DeltaPath::Rebuilt => result.rebuild_work,
             });
-            let book =
-                match Codebook::from_lengths(&drifted_hist, family, result.lengths, &delta_span) {
-                    Ok(book) => book,
-                    Err(e) => {
-                        fail_jobs(inner, jobs, Response::from(e));
-                        return;
-                    }
-                };
-            (inner.cache.install(book), result.path.tag())
+            let book = Codebook::from_lengths(&drifted_hist, family, result.lengths, &delta_span);
+            let built = delta_span.aggregate();
+            tick.charge(built.work, built.depth);
+            built_depth = built.depth;
+            match book {
+                Ok(book) => (inner.cache.install(book), result.path.tag()),
+                Err(e) => {
+                    fail_jobs(inner, jobs, Response::from(e));
+                    return;
+                }
+            }
         }
     };
-    answer_jobs(inner, group_span, &book, Some(path_tag), jobs);
+    answer_jobs(inner, tick, built_depth, &book, Some(path_tag), jobs);
 }
 
 /// Delivers one answer, counting its latency since `enqueued`.
@@ -1245,6 +1270,141 @@ mod tests {
         assert_eq!(inline.shutdown(), 0);
     }
 
+    /// A paused, memory-only service with `books` resident in tier 0.
+    fn paused_with(books: &[(FamilyId, &[u32])]) -> Service {
+        let svc = Service::start(ServiceConfig {
+            workers: 0,
+            store_dir: None,
+            delta_ratio_pct: 200,
+            ..ServiceConfig::default()
+        });
+        let entries: Vec<WarmEntry> = books
+            .iter()
+            .map(|&(family, counts)| WarmEntry {
+                hits: 0,
+                family,
+                histogram: hist(counts),
+                lengths: Codebook::build(&hist(counts), family, &CostTracer::disabled())
+                    .unwrap()
+                    .lengths,
+            })
+            .collect();
+        assert!(matches!(
+            svc.submit(Request::WarmUp { entries }),
+            Response::WarmedUp { .. }
+        ));
+        svc
+    }
+
+    /// Queues `requests` on a paused `svc` and takes them back as one
+    /// tick's batch. The reply of request `i` goes to `reply(i)`.
+    fn queue_tick(
+        svc: &Service,
+        requests: Vec<Request>,
+        reply: impl Fn(usize) -> ReplySink,
+    ) -> Vec<Job> {
+        for (i, request) in requests.into_iter().enumerate() {
+            assert!(svc.enqueue(request, reply(i)).is_ok());
+        }
+        svc.inner.queue.lock().unwrap().drain(..).collect()
+    }
+
+    /// A tick of four groups: a tier-0 hit, a miss coded twice, a miss
+    /// whose coding fails, and a delta that rebuilds.
+    fn mixed_tick() -> (Vec<(FamilyId, &'static [u32])>, Vec<Request>) {
+        let base: &'static [u32] = &[40, 20, 10, 5];
+        let books = vec![
+            (FamilyId::Huffman, &[9u32, 5, 3, 1][..]),
+            (FamilyId::Huffman, base),
+        ];
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 7 % 4) as u8).collect();
+        let requests = vec![
+            Request::Encode {
+                family: FamilyId::Huffman,
+                histogram: hist(&[9, 5, 3, 1]),
+                payload: payload.clone(),
+            },
+            Request::Encode {
+                family: FamilyId::ShannonFano,
+                histogram: hist(&[3, 3, 2, 1, 1]),
+                payload: payload.clone(),
+            },
+            Request::Encode {
+                family: FamilyId::ShannonFano,
+                histogram: hist(&[3, 3, 2, 1, 1]),
+                payload: vec![4, 0, 1],
+            },
+            Request::Encode {
+                family: FamilyId::Minimax,
+                histogram: hist(&[6, 2, 2, 1]),
+                payload: vec![0, 9],
+            },
+            Request::EncodeDelta {
+                family: FamilyId::Huffman,
+                base_key: FamilyId::Huffman.tagged_key(hist(base).hash64()),
+                deltas: vec![(0, 8), (2, -3)],
+                payload,
+            },
+        ];
+        (books, requests)
+    }
+
+    #[test]
+    fn a_tick_counts_the_work_and_depth_of_its_span_tree() {
+        let (books, requests) = mixed_tick();
+        let svc = paused_with(&books);
+        let (tx, rx) = mpsc::channel();
+        let batch = queue_tick(&svc, requests, |_| ReplySink::Channel(tx.clone()));
+        let before = svc.metrics();
+        process_batch(&svc.inner, batch);
+        let kinds: Vec<&str> = rx
+            .try_iter()
+            .map(|r| match r {
+                Response::Encoded { .. } => "encoded",
+                Response::DeltaEncoded { .. } => "delta",
+                Response::Error { .. } => "error",
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, ["encoded", "encoded", "encoded", "error", "delta"]);
+        let after = svc.metrics();
+        assert_eq!((after.batches, after.constructions), (1, 2));
+        // The aggregate of the span tree a tick built before it counted
+        // directly (`batch` → parallel `histogram:…` groups, each a
+        // `construct` span plus parallel `req:…` steps), pinned from a
+        // run of that code.
+        let got = (after.work - before.work, after.depth - before.depth);
+        assert_eq!(got, (1507, 6));
+        assert_eq!(svc.shutdown(), 0);
+    }
+
+    #[test]
+    fn a_ticks_cost_is_counted_before_its_last_answer_leaves() {
+        let (books, requests) = mixed_tick();
+        let last = requests.len() - 1;
+        let svc = paused_with(&books);
+        let (seen_tx, seen) = mpsc::channel();
+        let batch = queue_tick(&svc, requests, |i| {
+            let (reader, seen_tx) = (svc.clone(), seen_tx.clone());
+            ReplySink::Callback(CompletionSink::new(move |_| {
+                if i == last {
+                    let m = reader.metrics();
+                    seen_tx.send((m.work, m.depth)).unwrap();
+                }
+            }))
+        });
+        let before = svc.metrics();
+        process_batch(&svc.inner, batch);
+        let after = svc.metrics();
+        assert!(after.work > before.work && after.depth > before.depth);
+        assert_eq!(
+            seen.try_recv().expect("the last answer was delivered"),
+            (after.work, after.depth),
+            "the tick's last answer left before its work and depth were counted"
+        );
+        assert_eq!(svc.shutdown(), 0);
+    }
+
     #[test]
     fn only_small_resident_hits_on_an_idle_queue_skip_it() {
         let counts: &[u32] = &[5, 3, 1, 1];
@@ -1443,13 +1603,11 @@ mod tests {
             &svc.inner,
             vec![
                 Job {
-                    seq: 0,
                     request: encode_req(&[1, 1], &[0]),
                     enqueued: stale_enqueued,
                     reply: ReplySink::Channel(stale_tx),
                 },
                 Job {
-                    seq: 1,
                     request: encode_req(&[1, 1], &[0]),
                     enqueued: Instant::now(),
                     reply: ReplySink::Channel(fresh_tx),
@@ -1554,7 +1712,6 @@ mod tests {
         process_batch(
             &svc.inner,
             vec![Job {
-                seq: 0,
                 request: encode_req(&[1, 1], &[0]),
                 enqueued: stale_enqueued,
                 reply: ReplySink::Callback(CompletionSink::new(move |r| {

@@ -30,7 +30,9 @@
 //!
 //! [`CompletionQueue`] packages the flag with the mutex-protected
 //! vector both reactors ship, so the checked composition is the
-//! shipping composition.
+//! shipping composition. Both reactors take the consumer step
+//! (`try_sleep`, `epoll_wait`, `wake_up`) through one function,
+//! [`crate::conn::Conns::wait`].
 
 use crate::sync::{AtomicUsize, Mutex, Ordering};
 

@@ -25,7 +25,7 @@ use partree_service::FamilyId;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Held for the whole of each test in this file (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -44,6 +44,22 @@ fn open_fds() -> usize {
 
 fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// [`live_threads`] once it holds still: a thread that was just joined
+/// can stay listed in `/proc/self/task` for a moment after the join
+/// returns. Waits until five samples in a row agree, for at most 5 s.
+fn settled_threads() -> usize {
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let mut count = live_threads();
+    let mut agreeing = 0;
+    while agreeing < 5 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = live_threads();
+        agreeing = if now == count { agreeing + 1 } else { 0 };
+        count = now;
+    }
+    count
 }
 
 /// Connect `count` sockets and leave them idle. Paced in bursts well
@@ -85,7 +101,7 @@ fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
         svc.shutdown();
     }
     let fd_baseline = open_fds();
-    let thread_baseline = live_threads();
+    let thread_baseline = settled_threads();
 
     {
         let server = Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap();

@@ -109,6 +109,7 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/delta/src/patch.rs",
     "crates/service/src/server.rs",
     "crates/service/src/net.rs",
+    "crates/service/src/conn.rs",
     "crates/service/src/reactor.rs",
     "crates/service/src/waker.rs",
     "crates/gateway/src/gateway.rs",

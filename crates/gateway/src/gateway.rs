@@ -4,12 +4,19 @@
 //!
 //! ## Attempt lifecycle
 //!
-//! Each codec request walks its key's preference order. Every attempt is
-//! a non-blocking call on the gateway's one RPC reactor
-//! ([`crate::reactor`]), which multiplexes all replica connections on a
-//! single epoll thread; the call's completion callback reports back over
-//! a channel, and the router's event loop decides what each outcome
-//! means:
+//! Each codec request walks its key's preference order. The first
+//! attempt runs on the calling thread whenever an idle connection to
+//! its replica is pooled ([`crate::reactor`]'s inline path): the caller
+//! writes the frame straight from `&Request`, waits on that one socket
+//! until the hedge point or the deadline, and on an answer runs the
+//! same accounting and classification as every other attempt. Such a
+//! request copies nothing, opens no channel and sends the reactor no
+//! message (`inline_attempts` counts these attempts). Every other
+//! attempt (a first one with no idle connection, hedges, retries) is a
+//! non-blocking call on the gateway's one RPC reactor, which
+//! multiplexes those replica connections on a single epoll thread; the
+//! call's completion callback reports back over a channel, and the
+//! router's event loop decides what each outcome means:
 //!
 //! | outcome                         | class     | breaker        |
 //! |---------------------------------|-----------|----------------|
@@ -22,7 +29,10 @@
 //!
 //! The split in the last column is deliberate: `Busy`/`Timeout` prove
 //! the replica is alive (it parsed the frame and answered), so they
-//! must not open the breaker — only liveness failures do.
+//! must not open the breaker — only liveness failures do. An idle
+//! connection the replica closed while it sat in the pool (a restart)
+//! is dropped at checkout before anything is sent, so it is no attempt
+//! and no breaker failure; the prober reports the restart once.
 //!
 //! ## Hedging
 //!
@@ -30,10 +40,13 @@
 //! `max(hedge_after_min, 3 × EWMA of successful attempt latency)`, or
 //! `deadline / 4` before any data exists — one hedge is launched at the
 //! next replica in the preference order and the first response wins.
-//! The loser's completion callback still runs on the reactor thread,
-//! recording its replica's metrics, and its connection goes back to the
-//! idle pool, because the event loop may already have returned to the
-//! caller.
+//! A first attempt still waiting on the calling thread at that point is
+//! handed to the reactor first (its socket, unsent bytes and partly
+//! read reply move with it), so from the hedge on both attempts run on
+//! the reactor. The loser's completion callback still runs on the
+//! reactor thread, recording its replica's metrics, and its connection
+//! goes back to the idle pool, because the event loop may already have
+//! returned to the caller.
 //!
 //! ## Determinism
 //!
@@ -45,7 +58,7 @@
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::metrics::{Metrics, ReplicaMetrics, ReplicaSnapshot};
-use crate::reactor::RpcClient;
+use crate::reactor::{Inline, RpcClient};
 use crate::route::{home, preference_order};
 use partree_service::frame::{ErrorCode, Histogram, Request, Response, WarmEntry};
 use partree_service::FamilyId;
@@ -200,8 +213,27 @@ impl Inner {
     }
 }
 
-/// What one attempt's completion callback reports back to the event
-/// loop.
+/// What the reactor path of one request needs: its own copy of the
+/// request, which hedges and retries share, and the channel their
+/// completion callbacks report on.
+struct ReactorPath {
+    request: Arc<Request>,
+    tx: mpsc::Sender<AttemptReport>,
+    rx: mpsc::Receiver<AttemptReport>,
+}
+
+impl ReactorPath {
+    fn new(request: &Request) -> ReactorPath {
+        let (tx, rx) = mpsc::channel();
+        ReactorPath {
+            request: Arc::new(request.clone()),
+            tx,
+            rx,
+        }
+    }
+}
+
+/// What one attempt reports back to the event loop.
 struct AttemptReport {
     replica: usize,
     hedge: bool,
@@ -536,8 +568,8 @@ impl Gateway {
         let order = preference_order(key, n);
         let home = order[0];
         let hedge_at = start + inner.hedge_threshold();
-        let request = Arc::new(request.clone());
-        let (tx, rx) = mpsc::channel::<AttemptReport>();
+        // Made only once an attempt runs on the reactor.
+        let mut reactor: Option<ReactorPath> = None;
 
         let mut rank = 0usize; // next position in the routing sequence
         let mut in_flight: Vec<usize> = Vec::with_capacity(2);
@@ -545,89 +577,98 @@ impl Gateway {
         let mut hedged = false;
 
         let first = self.pick(&order, &mut rank, &in_flight);
-        self.launch(first, &request, false, deadline, &tx);
         in_flight.push(first);
+        let mut answered = self.first_attempt(first, request, hedge_at, deadline, &mut reactor);
 
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                inner
-                    .metrics
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "gateway deadline of {:?} exhausted after {} attempt(s)",
-                        inner.cfg.deadline,
-                        in_flight.len() as u32 + retries_used
-                    ),
-                ));
-            }
-            // Wake at the hedge point while the hedge is still armed,
-            // otherwise at the deadline.
-            let wait = if !hedged && !in_flight.is_empty() && hedge_at > now {
-                (hedge_at - now).min(deadline - now)
-            } else {
-                deadline - now
-            };
-            match rx.recv_timeout(wait) {
-                Ok(report) => {
-                    in_flight.retain(|&r| r != report.replica);
-                    match report.outcome {
-                        Ok(resp) if classify(&resp) == Class::Terminal => {
-                            inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                            if report.replica != home {
-                                inner.metrics.failovers.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if report.hedge {
-                                inner.metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return Ok(resp);
-                        }
-                        outcome => {
-                            // Retryable: Busy / Timeout / ShuttingDown /
-                            // transport error.
-                            if retries_used < inner.cfg.max_retries {
-                                retries_used += 1;
-                                inner.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                                // Back off only when nothing is in
-                                // flight — otherwise the outstanding
-                                // attempt *is* the wait.
-                                if in_flight.is_empty() {
-                                    let pause = inner.backoff(
-                                        retries_used,
-                                        deadline.saturating_duration_since(Instant::now()),
-                                    );
-                                    if !pause.is_zero() {
-                                        thread::sleep(pause);
-                                    }
-                                }
-                                let next = self.pick(&order, &mut rank, &in_flight);
-                                self.launch(next, &request, false, deadline, &tx);
-                                in_flight.push(next);
-                            } else if in_flight.is_empty() {
-                                // Budget exhausted: surface the failure
-                                // as a direct client would.
-                                return outcome;
-                            }
-                            // Budget exhausted but an attempt is still
-                            // out — keep waiting for it.
-                        }
+            let report = match answered.take() {
+                Some(report) => report,
+                None => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        inner
+                            .metrics
+                            .deadline_exceeded
+                            .fetch_add(1, Ordering::Relaxed);
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            format!(
+                                "gateway deadline of {:?} exhausted after {} attempt(s)",
+                                inner.cfg.deadline,
+                                in_flight.len() as u32 + retries_used
+                            ),
+                        ));
                     }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !hedged && !in_flight.is_empty() && Instant::now() >= hedge_at {
+                    let path = reactor.get_or_insert_with(|| ReactorPath::new(request));
+                    if !hedged && !in_flight.is_empty() && now >= hedge_at {
                         hedged = true;
                         inner.metrics.hedges_issued.fetch_add(1, Ordering::Relaxed);
                         let next = self.pick(&order, &mut rank, &in_flight);
-                        self.launch(next, &request, true, deadline, &tx);
+                        self.launch(next, path, true, deadline);
                         in_flight.push(next);
                     }
-                    // Deadline handling happens at the top of the loop.
+                    // Wake at the hedge point while the hedge is still
+                    // armed, otherwise at the deadline.
+                    let wake = if hedged || in_flight.is_empty() {
+                        deadline
+                    } else {
+                        hedge_at.min(deadline)
+                    };
+                    match path.rx.recv_timeout(wake.saturating_duration_since(now)) {
+                        Ok(report) => report,
+                        // The hedge and the deadline are handled above.
+                        Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                        Err(mpsc::RecvTimeoutError::Disconnected) => {
+                            unreachable!("event loop holds a sender")
+                        }
+                    }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("event loop holds a sender")
+            };
+            in_flight.retain(|&r| r != report.replica);
+            match report.outcome {
+                Ok(resp) if classify(&resp) == Class::Terminal => {
+                    inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    if report.replica != home {
+                        inner.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if report.hedge {
+                        inner.metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(resp);
+                }
+                outcome => {
+                    // Retryable: Busy / Timeout / ShuttingDown /
+                    // transport error.
+                    if retries_used < inner.cfg.max_retries {
+                        retries_used += 1;
+                        inner.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                        // Back off only when nothing is in flight —
+                        // otherwise the outstanding attempt *is* the
+                        // wait.
+                        if in_flight.is_empty() {
+                            let pause = inner.backoff(
+                                retries_used,
+                                deadline.saturating_duration_since(Instant::now()),
+                            );
+                            if !pause.is_zero() {
+                                thread::sleep(pause);
+                            }
+                        }
+                        let next = self.pick(&order, &mut rank, &in_flight);
+                        let path = reactor.get_or_insert_with(|| ReactorPath::new(request));
+                        self.launch(next, path, false, deadline);
+                        in_flight.push(next);
+                        // The hedge races attempts that were out at the
+                        // hedge point; a retry launched after it (a
+                        // backoff crossed it) is not hedged.
+                        hedged |= Instant::now() >= hedge_at;
+                    } else if in_flight.is_empty() {
+                        // Budget exhausted: surface the failure as a
+                        // direct client would.
+                        return outcome;
+                    }
+                    // Budget exhausted but an attempt is still out —
+                    // keep waiting for it.
                 }
             }
         }
@@ -664,39 +705,90 @@ impl Gateway {
         r
     }
 
-    /// Launches one attempt: a non-blocking reactor call whose
-    /// completion callback (run on the reactor thread, hedge losers
-    /// included) feeds the breaker and counters through
-    /// [`account_attempt`] and reports to the event loop.
-    fn launch(
+    /// Runs a request's first attempt on the calling thread when an
+    /// idle connection to `replica` is pooled, waiting for the answer
+    /// until the hedge point or the deadline. Returns the report of an
+    /// attempt that finished there; an attempt that did not is on the
+    /// reactor when this returns (handed over, or launched there for
+    /// want of an idle connection), and reports through `reactor`.
+    fn first_attempt(
         &self,
         replica: usize,
-        request: &Arc<Request>,
-        hedge: bool,
+        request: &Request,
+        hedge_at: Instant,
         deadline: Instant,
-        tx: &mpsc::Sender<AttemptReport>,
-    ) {
-        let inner = Arc::clone(&self.inner);
-        let tx = tx.clone();
-        let r = &self.inner.replicas[replica];
-        self.inner.attempts_live.fetch_add(1, Ordering::Relaxed);
-        r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+        reactor: &mut Option<ReactorPath>,
+    ) -> Option<AttemptReport> {
+        let inner = &self.inner;
+        let r = &inner.replicas[replica];
         let t0 = Instant::now();
-        self.inner.rpc.call(
-            r.addr,
-            Arc::clone(request),
-            deadline,
-            self.inner.cfg.connect_timeout,
-            move |outcome| {
-                let outcome = account_attempt(&inner, replica, t0, outcome);
-                let _ = tx.send(AttemptReport {
+        let flight = match inner
+            .rpc
+            .try_inline(r.addr, request, hedge_at.min(deadline))
+        {
+            Inline::Done(outcome) => {
+                r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+                inner
+                    .metrics
+                    .inline_attempts
+                    .fetch_add(1, Ordering::Relaxed);
+                return Some(AttemptReport {
                     replica,
-                    hedge,
-                    outcome,
+                    hedge: false,
+                    outcome: account_attempt(inner, replica, t0, outcome),
                 });
-                inner.attempts_live.fetch_sub(1, Ordering::Relaxed);
-            },
-        );
+            }
+            Inline::Unfinished(flight) => flight,
+            Inline::NoIdle => {
+                let path = reactor.get_or_insert_with(|| ReactorPath::new(request));
+                self.launch(replica, path, false, deadline);
+                return None;
+            }
+        };
+        r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+        let path = reactor.get_or_insert_with(|| ReactorPath::new(request));
+        inner
+            .rpc
+            .adopt(flight, deadline, self.report_to(path, replica, false, t0));
+        None
+    }
+
+    /// Launches an attempt on the reactor: a non-blocking call that
+    /// reports through `path`.
+    fn launch(&self, replica: usize, path: &ReactorPath, hedge: bool, deadline: Instant) {
+        let inner = &self.inner;
+        let r = &inner.replicas[replica];
+        r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+        let done = self.report_to(path, replica, hedge, Instant::now());
+        let timeout = inner.cfg.connect_timeout;
+        inner
+            .rpc
+            .call(r.addr, Arc::clone(&path.request), deadline, timeout, done);
+    }
+
+    /// The completion callback of an attempt on the reactor, run on the
+    /// reactor thread (hedge losers included, after the event loop may
+    /// have returned): feeds the breaker and counters through
+    /// [`account_attempt`] and reports to the event loop.
+    fn report_to(
+        &self,
+        path: &ReactorPath,
+        replica: usize,
+        hedge: bool,
+        t0: Instant,
+    ) -> impl FnOnce(io::Result<Response>) + Send + 'static {
+        let inner = Arc::clone(&self.inner);
+        let tx = path.tx.clone();
+        inner.attempts_live.fetch_add(1, Ordering::Relaxed);
+        move |outcome| {
+            let outcome = account_attempt(&inner, replica, t0, outcome);
+            let _ = tx.send(AttemptReport {
+                replica,
+                hedge,
+                outcome,
+            });
+            inner.attempts_live.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 

@@ -17,10 +17,14 @@
 //! * [`gateway`] — the event loop: per-request deadline budget, bounded
 //!   retries with jittered exponential backoff, and one hedged attempt
 //!   after an adaptive latency threshold, first response wins.
-//! * `reactor` — the RPC engine every attempt, probe and warm-up call
-//!   runs on: one epoll thread multiplexing all replica connections,
-//!   with per-replica idle pools and the discard-on-error rule (an
-//!   errored connection may be mid-frame and is never reused).
+//! * `reactor` — the RPC engine: a call runs on the calling thread over
+//!   an idle pooled connection when there is one, and on one epoll
+//!   thread multiplexing the replica connections otherwise (connects,
+//!   hedges, retries, and calls handed over mid-wait), with the
+//!   discard-on-error rule (an errored connection may be mid-frame and
+//!   is never reused).
+//! * `idle` — the per-replica LIFO idle pools, shared by the reactor and
+//!   the calling threads, with a liveness `peek` at checkout.
 //! * [`metrics`] — per-replica latency histograms and router counters,
 //!   declared through the same `partree_exec::counters!` registry as the
 //!   service's.
@@ -51,6 +55,7 @@
 
 pub mod breaker;
 pub mod gateway;
+mod idle;
 pub mod metrics;
 #[cfg(partree_model)]
 pub mod model;

@@ -82,6 +82,10 @@ partree_exec::counters! {
         /// Requests whose *winning* attempt ran on a replica other than the
         /// rendezvous home shard.
         failovers,
+        /// First attempts finished on the caller's thread over an idle
+        /// pooled connection (an answer or a transport error), with no
+        /// RPC reactor hand-off.
+        inline_attempts,
         /// Hedge attempts launched after the adaptive latency threshold.
         hedges_issued,
         /// Hedges whose response arrived before the primary's.

@@ -1,15 +1,18 @@
-//! Model-check scenarios for the circuit breaker.
+//! Model-check scenarios for the circuit breaker and the shared idle
+//! pool.
 //!
-//! Only compiled under `--cfg partree_model`. The breaker's mutex and
-//! counters route through [`crate::sync`]'s shadow types, so these
-//! scenarios explore the *shipping* `breaker.rs` under every bounded
-//! interleaving. Cooldowns are pinned to `Duration::ZERO` or
-//! effectively-infinite so wall-clock reads in `Breaker::allow` never
-//! become nondeterministic branches.
+//! Only compiled under `--cfg partree_model`. The breaker's and the idle
+//! pool's mutexes and counters route through [`crate::sync`]'s shadow
+//! types, so these scenarios explore the *shipping* `breaker.rs` and
+//! `idle.rs` under every bounded interleaving. Cooldowns are pinned to
+//! `Duration::ZERO` or effectively-infinite so wall-clock reads in
+//! `Breaker::allow` never become nondeterministic branches.
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
+use crate::idle::IdlePool;
 use partree_verify::{thread, Config, Scenario};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
 /// A threshold-1 breaker with no cooldown: the first failure opens it,
@@ -115,7 +118,90 @@ fn breaker_probe_success_recloses() {
     assert!(b.allow() && b.allow(), "closed breaker must flow freely");
 }
 
-/// The breaker's scenario registry, run by `cargo run -p xtask --
+/// A socket stand-in for the idle pool: its id and whether its peer
+/// closed it. Dropping one logs its id, as closing a socket ends it.
+struct Sock {
+    id: u32,
+    peer_closed: bool,
+    closed: Arc<StdMutex<Vec<u32>>>,
+}
+
+impl Drop for Sock {
+    fn drop(&mut self) {
+        // A plain std lock: never contended, since the model runs one
+        // thread at a time and takes no step inside it.
+        self.closed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(self.id);
+    }
+}
+
+/// A caller's checkout, the reactor's check-in of a just-answered
+/// connection, a purge and the prober's `take_lost` race over one
+/// address whose most recently idle socket was closed by its peer, in a
+/// pool that is full when the race starts. In every interleaving each
+/// socket ends with exactly one owner (the caller, the pool, or
+/// closed), none is pooled twice, the caller never gets the dead one,
+/// a socket is closed only by a purge, a full pool or its dead peer,
+/// and the loss is reported exactly once unless a purge closed the dead
+/// socket before anyone looked at it.
+fn idle_pool_sockets_have_one_owner() {
+    let addr: SocketAddr = ([127, 0, 0, 1], 7000).into();
+    let closed = Arc::new(StdMutex::new(Vec::new()));
+    let sock = |id, peer_closed| Sock {
+        id,
+        peer_closed,
+        closed: Arc::clone(&closed),
+    };
+    let live = |s: &Sock| !s.peer_closed;
+    let pool = Arc::new(IdlePool::new(2));
+    // Sock 0 is on top, and dead.
+    for s in [sock(1, false), sock(0, true)] {
+        assert!(pool.check_in(addr, s).is_ok());
+    }
+    let answered = sock(2, false);
+
+    let p = Arc::clone(&pool);
+    let caller = thread::spawn(move || p.check_out(addr, live));
+    let p = Arc::clone(&pool);
+    let reactor = thread::spawn(move || p.check_in(addr, answered).is_err());
+    let p = Arc::clone(&pool);
+    let purger = thread::spawn(move || p.purge(addr).iter().map(|s| s.id).collect::<Vec<_>>());
+    let p = Arc::clone(&pool);
+    let prober = thread::spawn(move || p.take_lost(addr, live));
+
+    let checked_out = caller.join().expect("caller panicked");
+    let rejected = reactor.join().expect("reactor panicked");
+    let purged = purger.join().expect("purger panicked");
+    let mut reports = u32::from(prober.join().expect("prober panicked"));
+    reports += u32::from(pool.take_lost(addr, live));
+    let pooled = pool.purge(addr);
+
+    assert!(
+        checked_out.as_ref().map_or(true, |s| !s.peer_closed),
+        "a closed socket was checked out"
+    );
+    let mut dropped = closed
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    dropped.sort_unstable();
+    let mut decided = purged.clone();
+    decided.extend(rejected.then_some(2));
+    decided.extend((!purged.contains(&0)).then_some(0));
+    decided.sort_unstable();
+    assert_eq!(dropped, decided, "a socket closed that no one closed");
+    let mut owners = dropped;
+    owners.extend(checked_out.iter().map(|s| s.id));
+    owners.extend(pooled.iter().map(|s| s.id));
+    owners.sort_unstable();
+    assert_eq!(owners, [0, 1, 2], "a socket with no owner or two");
+    let expected = u32::from(!purged.contains(&0));
+    assert_eq!(reports, expected, "loss reported {reports} times");
+}
+
+/// The gateway's scenario registry, run by `cargo run -p xtask --
 /// verify` and the gateway model test suite.
 pub fn scenarios() -> Vec<Scenario> {
     let cfg = Config {
@@ -144,6 +230,11 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "breaker_probe_success_recloses",
             cfg,
             body: breaker_probe_success_recloses,
+        },
+        Scenario {
+            name: "idle_pool_sockets_have_one_owner",
+            cfg,
+            body: idle_pool_sockets_have_one_owner,
         },
     ]
 }

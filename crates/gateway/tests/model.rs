@@ -1,5 +1,5 @@
-//! Model-check suite for the gateway breaker. Only compiled under
-//! `--cfg partree_model`:
+//! Model-check suite for the gateway breaker and idle pool. Only
+//! compiled under `--cfg partree_model`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg partree_model" cargo test -p partree-gateway --test model
@@ -25,8 +25,8 @@ fn breaker_scenarios_are_clean_and_exhaustive() {
             "{}: DFS cut off after {} executions — raise max_executions or shrink the scenario",
             s.name, report.executions
         );
-        // Breaker methods are single coarse mutex sections, so some
-        // two-thread scenarios are exhaustively tiny — the floor only
+        // Breaker and pool methods are single coarse mutex sections, so
+        // some two-thread scenarios are exhaustively tiny — the floor only
         // guards against a scenario degenerating to fully sequential.
         assert!(
             report.executions > 4,
@@ -36,6 +36,6 @@ fn breaker_scenarios_are_clean_and_exhaustive() {
         );
         total += report.executions;
     }
-    println!("breaker model suite: {total} distinct interleavings across all scenarios");
+    println!("gateway model suite: {total} distinct interleavings across all scenarios");
     assert!(total > 200, "suite shrank to {total} interleavings");
 }

@@ -30,24 +30,25 @@ fn gateway_snapshot_json_is_byte_exact() {
         completed: 2,
         retries: 3,
         failovers: 4,
-        hedges_issued: 5,
-        hedges_won: 6,
-        deadline_exceeded: 7,
-        no_healthy_replica: 8,
-        rejected_shutdown: 9,
-        warmups: 10,
-        warmup_keys_sent: 11,
-        family_requests: [12, 13, 14, 15],
+        inline_attempts: 5,
+        hedges_issued: 6,
+        hedges_won: 7,
+        deadline_exceeded: 8,
+        no_healthy_replica: 9,
+        rejected_shutdown: 10,
+        warmups: 11,
+        warmup_keys_sent: 12,
+        family_requests: [13, 14, 15, 16],
         replicas: vec![
             replica(0, 20, BreakerState::Open, true),
             replica(1, 40, BreakerState::HalfOpen, false),
         ],
     };
     let expected = "{\"requests\":1,\"completed\":2,\"retries\":3,\"failovers\":4,\
-\"hedges_issued\":5,\"hedges_won\":6,\"deadline_exceeded\":7,\"no_healthy_replica\":8,\
-\"rejected_shutdown\":9,\"warmups\":10,\"warmup_keys_sent\":11,\
-\"family_huffman_requests\":12,\"family_sf_requests\":13,\"family_minimax_requests\":14,\
-\"family_choosable_requests\":15,\"replicas\":[\
+\"inline_attempts\":5,\"hedges_issued\":6,\"hedges_won\":7,\"deadline_exceeded\":8,\
+\"no_healthy_replica\":9,\"rejected_shutdown\":10,\"warmups\":11,\"warmup_keys_sent\":12,\
+\"family_huffman_requests\":13,\"family_sf_requests\":14,\"family_minimax_requests\":15,\
+\"family_choosable_requests\":16,\"replicas\":[\
 {\"id\":0,\"addr\":\"127.0.0.1:7000\",\"attempts\":21,\"successes\":22,\
 \"transport_errors\":23,\"busy\":24,\"pings_ok\":25,\"pings_failed\":26,\
 \"latency_us_total\":27,\"latency_us_max\":28,\"breaker\":\"open\",\"breaker_opened\":29,\

@@ -13,7 +13,10 @@
 //!   nothing to write would spin the loop;
 //! * one read loop feeding the connection's incremental
 //!   [`FrameDecoder`] ([`Conns::read`]), so a frame split across TCP
-//!   segments resumes where it left off;
+//!   segments resumes where it left off. The read and write loops are
+//!   also free functions ([`read_frames`], [`write_nonblocking`]) for a
+//!   socket in no table: a gateway caller runs a call on its own thread
+//!   with them, and a [`Conn`] it hands over keeps its decoder;
 //! * the consumer side of the [`crate::waker`] handshake
 //!   ([`Conns::wait`]): commit to sleep, `epoll_wait`, re-arm.
 //!
@@ -39,7 +42,9 @@ pub struct Conn<S> {
     /// Bytes queued for the peer; the first `written` are already sent.
     pub out: Vec<u8>,
     written: usize,
-    decoder: FrameDecoder,
+    /// The incremental parser the socket's bytes feed; a connection
+    /// handed over mid-reply brings the decoder state it had.
+    pub decoder: FrameDecoder,
     /// The interest currently registered with the poll.
     interest: Interest,
     /// The owning reactor's state for this connection.
@@ -146,15 +151,7 @@ impl<S> Conns<S> {
         let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
             return Ok(0);
         };
-        while conn.written < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.written..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => conn.written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        conn.written += write_nonblocking(&mut conn.stream, &conn.out[conn.written..])?;
         let queued = conn.out.len() - conn.written;
         let want = if queued == 0 {
             conn.out.clear();
@@ -188,35 +185,13 @@ impl<S> Conns<S> {
         let Some(conn) = self.get_mut(slot) else {
             return Ok(());
         };
-        let mut buf = [0u8; READ_CHUNK];
-        let mut reads = 0;
-        while reads < max_reads {
-            let n = match conn.stream.read(&mut buf) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            reads += 1;
-            let mut off = 0;
-            while off < n {
-                let (used, frame) = conn.decoder.advance(&buf[off..n])?;
-                off += used;
-                let Some(frame) = frame else { continue };
-                frames.push(frame);
-                if frames.len() >= max_frames {
-                    if off < n {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "unexpected extra bytes after response",
-                        ));
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
+        read_frames(
+            &mut conn.stream,
+            &mut conn.decoder,
+            max_reads,
+            max_frames,
+            frames,
+        )
     }
 
     /// Deregisters `slot`'s connection and returns it, or `None` if the
@@ -231,6 +206,63 @@ impl<S> Conns<S> {
         self.freed.push(slot);
         Some(conn)
     }
+}
+
+/// The write loop under [`Conns::flush`]: writes `bytes` until the
+/// socket would block or all are sent, and returns how many were sent.
+pub fn write_nonblocking(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match stream.write(&bytes[sent..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(sent)
+}
+
+/// The read loop under [`Conns::read`], for a socket outside any
+/// table too: the gateway's callers read a reply on their own thread
+/// through it, with the same limits and the same errors.
+pub fn read_frames(
+    stream: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    max_reads: usize,
+    max_frames: usize,
+    frames: &mut Vec<RawFrame>,
+) -> io::Result<()> {
+    let mut buf = [0u8; READ_CHUNK];
+    let mut reads = 0;
+    while reads < max_reads {
+        let n = match stream.read(&mut buf) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        reads += 1;
+        let mut off = 0;
+        while off < n {
+            let (used, frame) = decoder.advance(&buf[off..n])?;
+            off += used;
+            let Some(frame) = frame else { continue };
+            frames.push(frame);
+            if frames.len() >= max_frames {
+                if off < n {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "unexpected extra bytes after response",
+                    ));
+                }
+                return Ok(());
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@
 //! with [`ErrorCode::UnknownBase`]; the client falls back to a full
 //! `Encode`.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use partree_codecs::FamilyId;
 use std::io::{self, Read, Write};
 
@@ -693,18 +693,30 @@ pub fn encode_frame(id: u64, opcode: Opcode, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Serializes a request frame.
+/// Serializes a request frame into a new vector; see
+/// [`encode_request_into`].
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut body = BytesMut::new();
+    let mut out = Vec::new();
+    encode_request_into(&mut out, id, req);
+    out
+}
+
+/// Appends a request frame to `out`, header and body written in place
+/// (the gateway appends straight onto a connection's write buffer, or
+/// onto the calling thread's reused one).
+pub fn encode_request_into(out: &mut Vec<u8>, id: u64, req: &Request) {
+    let start = out.len();
+    // The header is filled in once the body's opcode and length are known.
+    out.resize(start + HEADER_LEN, 0);
     let opcode = match req {
         Request::Encode {
             family,
             histogram,
             payload,
         } => {
-            put_histogram(&mut body, histogram);
-            body.put_u32(payload.len() as u32);
-            body.put_slice(payload);
+            put_histogram(out, histogram);
+            out.put_u32(payload.len() as u32);
+            out.put_slice(payload);
             family_opcodes(*family).0
         }
         Request::Decode {
@@ -713,21 +725,21 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
             bit_len,
             data,
         } => {
-            put_histogram(&mut body, histogram);
-            body.put_u64(*bit_len);
-            body.put_u32(data.len() as u32);
-            body.put_slice(data);
+            put_histogram(out, histogram);
+            out.put_u64(*bit_len);
+            out.put_u32(data.len() as u32);
+            out.put_slice(data);
             family_opcodes(*family).1
         }
         Request::Stats => Opcode::Stats,
         Request::Ping => Opcode::Ping,
         Request::Drain => Opcode::Drain,
         Request::WarmUp { entries } => {
-            put_warm_entries(&mut body, entries);
+            put_warm_entries(out, entries);
             Opcode::WarmUp
         }
         Request::HotSet { max } => {
-            body.put_u16(*max);
+            out.put_u16(*max);
             Opcode::HotSet
         }
         Request::EncodeDelta {
@@ -736,11 +748,11 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
             deltas,
             payload,
         } => {
-            body.put_u8(family.tag());
-            body.put_u64(*base_key);
-            put_deltas(&mut body, deltas);
-            body.put_u32(payload.len() as u32);
-            body.put_slice(payload);
+            out.put_u8(family.tag());
+            out.put_u64(*base_key);
+            put_deltas(out, deltas);
+            out.put_u32(payload.len() as u32);
+            out.put_slice(payload);
             Opcode::EncodeDelta
         }
         Request::DecodeDelta {
@@ -750,16 +762,17 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
             bit_len,
             data,
         } => {
-            body.put_u8(family.tag());
-            body.put_u64(*base_key);
-            put_deltas(&mut body, deltas);
-            body.put_u64(*bit_len);
-            body.put_u32(data.len() as u32);
-            body.put_slice(data);
+            out.put_u8(family.tag());
+            out.put_u64(*base_key);
+            put_deltas(out, deltas);
+            out.put_u64(*bit_len);
+            out.put_u32(data.len() as u32);
+            out.put_slice(data);
             Opcode::DecodeDelta
         }
     };
-    encode_frame(id, opcode, &body)
+    let body_len = out.len() - start - HEADER_LEN;
+    out[start..start + HEADER_LEN].copy_from_slice(&header(id, opcode, body_len));
 }
 
 /// Serializes a response frame into a new vector; see
@@ -1232,6 +1245,7 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn hist(counts: &[u32]) -> Histogram {
         Histogram::new(counts.to_vec()).unwrap()
@@ -1787,5 +1801,100 @@ mod tests {
         let frames = decode_chunked(&wire[3..], 4096);
         assert_eq!(frames.len(), 14);
         assert!(frames.iter().zip(1..).all(|(f, id)| f.id == id));
+    }
+
+    fn every_request_variant() -> Vec<Request> {
+        vec![
+            Request::Encode {
+                family: FamilyId::Huffman,
+                histogram: hist(&[3, 1, 4]),
+                payload: vec![0, 2, 1, 1, 0],
+            },
+            Request::Encode {
+                family: FamilyId::Minimax,
+                histogram: hist(&[5, 1, 1]),
+                payload: vec![2, 0],
+            },
+            Request::Decode {
+                family: FamilyId::ShannonFano,
+                histogram: hist(&[4, 2, 1, 1]),
+                bit_len: 9,
+                data: vec![0xFF, 0x80],
+            },
+            Request::Decode {
+                family: FamilyId::ChoosableEdge,
+                histogram: hist(&[2, 2]),
+                bit_len: 3,
+                data: vec![0xA0],
+            },
+            Request::Stats,
+            Request::Ping,
+            Request::Drain,
+            Request::WarmUp {
+                entries: vec![WarmEntry {
+                    hits: 1000,
+                    family: FamilyId::ShannonFano,
+                    histogram: hist(&[4, 2, 1, 1]),
+                    lengths: vec![1, 2, 3, 3],
+                }],
+            },
+            Request::HotSet { max: 32 },
+            Request::EncodeDelta {
+                family: FamilyId::Huffman,
+                base_key: 0x0123_4567_89ab_cdef,
+                deltas: vec![(0, 8), (2, -3)],
+                payload: vec![0, 1, 2, 3],
+            },
+            Request::DecodeDelta {
+                family: FamilyId::Minimax,
+                base_key: 42,
+                deltas: vec![(1, -1)],
+                bit_len: 5,
+                data: vec![0xF8],
+            },
+        ]
+    }
+
+    #[test]
+    fn request_frames_match_their_golden_bytes_in_place_and_alone() {
+        // Captured from the body-then-header encoder this one replaced.
+        let golden: [&str; 11] = [
+            "505401010000000000000001000000170003000000030000000100000004000000050002010100",
+            "5054010a0000000000000002000000140003000000050000000100000001000000020200",
+            "50540109000000000000000300000020000400000004000000020000000100000001000000000000\
+             000900000002ff80",
+            "5054010d00000000000000040000001700020000000200000002000000000000000300000001a0",
+            "50540103000000000000000500000000",
+            "50540104000000000000000600000000",
+            "50540105000000000000000700000000",
+            "50540106000000000000000800000021000100000000000003e80100040000000400000002000000\
+             010000000101020303",
+            "505401070000000000000009000000020020",
+            "5054010e000000000000000a0000001f000123456789abcdef00020000000000080002fffffffd0000\
+             000400010203",
+            "5054010f000000000000000b0000001e02000000000000002a00010001ffffffff0000000000000005\
+             00000001f8",
+        ];
+        let hex = |w: &[u8]| w.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        // One buffer carries every frame back to back, as a connection's
+        // write buffer does; each append must leave what precedes it.
+        let mut wire = vec![0xEE; 3];
+        let requests = every_request_variant();
+        assert_eq!(requests.len(), golden.len());
+        for (i, req) in requests.iter().enumerate() {
+            let id = i as u64 + 1;
+            let alone = encode_request(id, req);
+            let start = wire.len();
+            encode_request_into(&mut wire, id, req);
+            assert_eq!(&wire[start..], &alone[..], "request {i}: in place vs alone");
+            assert_eq!(hex(&alone), golden[i], "request {i}");
+        }
+        assert_eq!(&wire[..3], &[0xEE; 3]);
+        let frames = decode_chunked(&wire[3..], 4096);
+        assert_eq!(frames.len(), requests.len());
+        for ((f, id), req) in frames.iter().zip(1..).zip(&requests) {
+            assert_eq!(f.id, id);
+            assert_eq!(&decode_request(f.opcode, &f.body).unwrap(), req);
+        }
     }
 }

@@ -26,7 +26,7 @@
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` on the request paths
 //!   (`delta/src/{lib,drift,patch}.rs`,
 //!   `service/src/{server,net,reactor,waker}.rs`,
-//!   `gateway/src/{gateway,breaker,route,reactor}.rs`, the store's
+//!   `gateway/src/{gateway,breaker,route,reactor,idle}.rs`, the store's
 //!   request/recovery paths `store/src/{log,segment,record}.rs`, and
 //!   the payload codec kernels `codes/src/{table,encoder,decoder}.rs`
 //!   that run on every warm request): a poisoned lock, failed spawn
@@ -116,6 +116,7 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/gateway/src/breaker.rs",
     "crates/gateway/src/route.rs",
     "crates/gateway/src/reactor.rs",
+    "crates/gateway/src/idle.rs",
     "crates/store/src/log.rs",
     "crates/store/src/segment.rs",
     "crates/store/src/record.rs",
